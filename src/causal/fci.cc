@@ -665,9 +665,6 @@ FciResult RunFci(const CITest& test, const StructuralConstraints& constraints, s
     // pds(x) \ {x, y}; remove on independence.
     const size_t n = num_vars;
     PossibleDSepPhase(test, constraints, num_vars, options, warm, pool, &g, &result.sepsets);
-    // Phase barrier: buffered cache stores from the sweep become visible to
-    // other shards here, at a deterministic point. No-op for uncached tests.
-    test.PublishPending();
     // Reset remaining edges to circle-circle and re-orient with the final
     // adjacency structure.
     for (size_t a = 0; a < n; ++a) {

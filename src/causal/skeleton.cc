@@ -234,10 +234,6 @@ SkeletonResult LearnSkeleton(const CITest& test, const StructuralConstraints& co
         result.sepsets.Set(pairs[i].first, pairs[i].second, outcomes[i].sepset);
       }
     }
-    // Phase barrier: publish this level's buffered cache stores so other
-    // shards (and later phases) see them at a deterministic point instead of
-    // mid-sweep. No-op for uncached tests.
-    test.PublishPending();
     if (!any_tested && d > 0) {
       break;
     }

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "util/binio.h"
+#include "util/hash.h"
 
 namespace unicorn {
 namespace {
@@ -15,18 +16,6 @@ namespace {
 //   then per entry: u64 table_tag | u32 x | u32 y | u64 n_rows |
 //                   u32 s_size | 8 × u32 s[i] | f64 p_value
 constexpr char kCacheMagic[8] = {'U', 'N', 'C', 'I', 'C', 'H', 'E', '1'};
-
-double BitsToDouble(uint64_t bits) {
-  double d;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
-
-uint64_t DoubleToBits(double d) {
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
 
 }  // namespace
 
@@ -55,270 +44,147 @@ CICache::Key CICache::MakeKey(int x, int y, const std::vector<int>& s, uint64_t 
   return key;
 }
 
-size_t CICache::KeyHash::operator()(const Key& k) const {
-  // FNV-style mix over the key fields.
-  uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ULL;
-  };
-  mix(k.table_tag);
+uint64_t CICache::Hash(const Key& k) {
+  // Multiply-xor chain over the key words; the splitmix64 finalizer then
+  // carries every input bit into both the stripe (top) and slot (low) bits.
+  constexpr uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  uint64_t h = k.table_tag;
+  const auto mix = [&h](uint64_t v) { h = (h ^ v) * kMul; };
   mix(static_cast<uint64_t>(static_cast<uint32_t>(k.x)) |
       (static_cast<uint64_t>(static_cast<uint32_t>(k.y)) << 32));
   mix(k.n_rows);
   mix(k.s_size);
   for (uint32_t i = 0; i < k.s_size; ++i) {
-    mix(static_cast<uint64_t>(static_cast<uint32_t>(k.s[i])) + 0x9e3779b97f4a7c15ULL);
+    mix(static_cast<uint32_t>(k.s[i]));
   }
-  return static_cast<size_t>(h);
+  return Mix64(h);
 }
 
-void CICache::PackKey(const Key& key, std::array<uint64_t, 8>* words) {
-  // Trailing s[] entries beyond s_size are zero by construction (MakeKey and
-  // LoadFrom both leave them value-initialized), so the 8-word compare is
-  // exactly key equality.
-  (*words)[0] = key.table_tag;
-  (*words)[1] = (static_cast<uint64_t>(static_cast<uint32_t>(key.x)) << 32) |
-                static_cast<uint32_t>(key.y);
-  (*words)[2] = key.n_rows;
-  (*words)[3] = key.s_size;
-  for (size_t i = 0; i < 4; ++i) {
-    (*words)[4 + i] = (static_cast<uint64_t>(static_cast<uint32_t>(key.s[2 * i])) << 32) |
-                      static_cast<uint32_t>(key.s[2 * i + 1]);
+size_t CICache::Find(const Stripe& stripe, const Key& key, uint64_t hash) {
+  // Linear probing. The load factor stays below 3/4, so an empty slot
+  // always ends the sequence.
+  const size_t mask = stripe.slots.size() - 1;
+  for (size_t i = static_cast<size_t>(hash) & mask;; i = (i + 1) & mask) {
+    const Slot& slot = stripe.slots[i];
+    if (slot.generation != stripe.generation || slot.key == key) {
+      return i;
+    }
   }
 }
 
-long long CICache::SumCells(const CounterCells& cells) {
+void CICache::Grow(Stripe* stripe) {
+  constexpr size_t kMinSlots = 64;
+  std::vector<Slot> old(std::max(kMinSlots, stripe->slots.size() * 2));
+  old.swap(stripe->slots);
+  // Fresh slots carry generation 0, which no stripe ever holds, so they
+  // start empty; live entries move over with the current generation.
+  for (const Slot& slot : old) {
+    if (slot.generation == stripe->generation) {
+      stripe->slots[Find(*stripe, slot.key, Hash(slot.key))] = slot;
+    }
+  }
+}
+
+void CICache::DropAll(Stripe* stripe) {
+  stripe->live = 0;
+  if (++stripe->generation == 0) {
+    // Wrapped: a slot written 2^32 drops ago would read as live again.
+    for (Slot& slot : stripe->slots) {
+      slot.generation = 0;
+    }
+    stripe->generation = 1;
+  }
+}
+
+std::optional<CICache::Hit> CICache::LookupQuiet(const Key& key, uint32_t shard) const {
+  const uint64_t h = Hash(key);
+  const Stripe& stripe = StripeFor(h);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  if (stripe.slots.empty()) {
+    return std::nullopt;
+  }
+  const Slot& slot = stripe.slots[Find(stripe, key, h)];
+  if (slot.generation != stripe.generation) {
+    return std::nullopt;
+  }
+  return Hit{slot.p_value, slot.shard != shard};
+}
+
+std::optional<CICache::Hit> CICache::LookupFrom(const Key& key, uint32_t shard) {
+  const uint64_t h = Hash(key);
+  Stripe& stripe = StripeFor(h);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  ++stripe.lookups;
+  if (stripe.slots.empty()) {
+    return std::nullopt;
+  }
+  const Slot& slot = stripe.slots[Find(stripe, key, h)];
+  if (slot.generation != stripe.generation) {
+    return std::nullopt;
+  }
+  ++stripe.hits;
+  const Hit hit{slot.p_value, slot.shard != shard};
+  if (hit.cross_shard) {
+    ++stripe.cross_shard_hits;
+  }
+  return hit;
+}
+
+void CICache::Store(const Key& key, double p_value, uint32_t shard) {
+  const uint64_t h = Hash(key);
+  Stripe& stripe = StripeFor(h);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  if (max_entries_ > 0 && stripe.live >= std::max<size_t>(1, max_entries_ / kStripes)) {
+    // Coarse per-stripe eviction: drop the stripe and start over. Entries
+    // are pure memoization, so losing them costs re-evaluation, never
+    // correctness; tracking recency on the hot path would cost more than
+    // the occasional refill.
+    DropAll(&stripe);
+  }
+  // At most 3/4 full: misses stay a few probes long, at a footprint per
+  // entry close to a node-based map's.
+  if ((stripe.live + 1) * 4 > stripe.slots.size() * 3) {
+    Grow(&stripe);
+  }
+  Slot& slot = stripe.slots[Find(stripe, key, h)];
+  if (slot.generation == stripe.generation) {
+    return;  // already cached (the test is deterministic: same value)
+  }
+  slot.key = key;
+  slot.p_value = p_value;
+  slot.shard = shard;
+  slot.generation = stripe.generation;
+  ++stripe.live;
+}
+
+void CICache::AddCounterSamples(long long lookups, long long hits, long long cross_shard) {
+  Stripe& stripe = stripes_[0];
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  stripe.lookups += lookups;
+  stripe.hits += hits;
+  stripe.cross_shard_hits += cross_shard;
+}
+
+long long CICache::Sum(long long Stripe::*counter) const {
   long long total = 0;
-  for (const CounterCell& cell : cells) {
-    total += cell.v.load(std::memory_order_relaxed);
+  for (const Stripe& stripe : stripes_) {
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    total += stripe.*counter;
   }
   return total;
 }
 
-void CICache::BumpCell(CounterCells& cells, long long delta) {
-  // Sticky per-thread cell assignment: threads spread round-robin over the
-  // cells once, then always bump "their" line.
-  static std::atomic<uint32_t> next_lane{0};
-  thread_local const uint32_t lane =
-      next_lane.fetch_add(1, std::memory_order_relaxed) % kCounterCells;
-  cells[lane].v.fetch_add(delta, std::memory_order_relaxed);
-}
+long long CICache::hits() const { return Sum(&Stripe::hits); }
 
-CICache::ReadSlot* CICache::EnsureReadTable() {
-  ReadSlot* table = read_table_.load(std::memory_order_acquire);
-  if (table != nullptr) {
-    return table;
-  }
-  std::lock_guard<std::mutex> lock(read_init_mu_);
-  table = read_table_.load(std::memory_order_relaxed);
-  if (table == nullptr) {
-    read_table_storage_.reset(new ReadSlot[kReadSlots]);
-    table = read_table_storage_.get();
-    read_table_.store(table, std::memory_order_release);
-  }
-  return table;
-}
+long long CICache::lookups() const { return Sum(&Stripe::lookups); }
 
-std::optional<CICache::Hit> CICache::ProbeReadTable(const Key& key, uint32_t shard) const {
-  const ReadSlot* table = read_table_.load(std::memory_order_acquire);
-  if (table == nullptr) {
-    return std::nullopt;  // nothing stored yet anywhere
-  }
-  std::array<uint64_t, 8> w;
-  PackKey(key, &w);
-  const size_t h = KeyHash{}(key);
-  constexpr size_t mask = kReadSlots - 1;
-  for (size_t probe = 0; probe < kReadProbes; ++probe) {
-    const ReadSlot& slot = table[(h + probe) & mask];
-    const uint32_t s1 = slot.seq.load(std::memory_order_acquire);
-    if (s1 == 0) {
-      return std::nullopt;  // inserts claim the first empty slot in-window
-    }
-    if ((s1 & 1u) != 0) {
-      continue;  // mid-write; the authoritative tier will answer
-    }
-    bool match = true;
-    for (size_t i = 0; i < w.size(); ++i) {
-      if (slot.words[i].load(std::memory_order_relaxed) != w[i]) {
-        match = false;
-        break;
-      }
-    }
-    const uint64_t p_bits = slot.p_bits.load(std::memory_order_relaxed);
-    const uint32_t stored_shard = slot.shard.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != s1) {
-      continue;  // torn by a concurrent replacement; treat as a miss here
-    }
-    if (!match) {
-      continue;
-    }
-    Hit hit;
-    hit.p_value = BitsToDouble(p_bits);
-    hit.cross_shard = stored_shard != shard;
-    return hit;
-  }
-  return std::nullopt;
-}
-
-void CICache::InsertReadTable(const Key& key, double p_value, uint32_t shard) {
-  ReadSlot* table = EnsureReadTable();
-  std::array<uint64_t, 8> w;
-  PackKey(key, &w);
-  const size_t h = KeyHash{}(key);
-  constexpr size_t mask = kReadSlots - 1;
-  const auto fill = [&](ReadSlot& slot, uint32_t claimed_seq) {
-    for (size_t i = 0; i < w.size(); ++i) {
-      slot.words[i].store(w[i], std::memory_order_relaxed);
-    }
-    slot.p_bits.store(DoubleToBits(p_value), std::memory_order_relaxed);
-    slot.shard.store(shard, std::memory_order_relaxed);
-    slot.seq.store(claimed_seq + 1, std::memory_order_release);  // back to even
-  };
-  for (size_t probe = 0; probe < kReadProbes; ++probe) {
-    ReadSlot& slot = table[(h + probe) & mask];
-    uint32_t s = slot.seq.load(std::memory_order_acquire);
-    if ((s & 1u) != 0) {
-      continue;  // another writer owns it right now
-    }
-    if (s == 0) {
-      // Claim the empty slot. Losing the race just means someone else filled
-      // it; re-examine it as an occupied slot.
-      if (slot.seq.compare_exchange_strong(s, 1u, std::memory_order_acq_rel)) {
-        fill(slot, 1u);
-        return;
-      }
-      continue;
-    }
-    bool match = true;
-    for (size_t i = 0; i < w.size(); ++i) {
-      if (slot.words[i].load(std::memory_order_relaxed) != w[i]) {
-        match = false;
-        break;
-      }
-    }
-    if (match) {
-      return;  // already cached (the test is deterministic: same value)
-    }
-  }
-  // Window full of other keys: displace the home slot (newest-wins keeps the
-  // hot working set resident). Opportunistic — give up silently on a race;
-  // the authoritative tier holds the entry either way.
-  ReadSlot& slot = table[h & mask];
-  uint32_t s = slot.seq.load(std::memory_order_relaxed);
-  if ((s & 1u) != 0) {
-    return;
-  }
-  if (!slot.seq.compare_exchange_strong(s, s + 1, std::memory_order_acq_rel)) {
-    return;
-  }
-  fill(slot, s + 1);
-}
-
-std::optional<CICache::Hit> CICache::Probe(const Key& key, uint32_t shard,
-                                           const WriteBuffer* pending) const {
-  if (auto fast = ProbeReadTable(key, shard)) {
-    return fast;
-  }
-  if (pending != nullptr && pending->any_.load(std::memory_order_acquire)) {
-    const WriteBuffer::Lane& lane = pending->lanes_[KeyHash{}(key) % WriteBuffer::kLanes];
-    std::lock_guard<std::mutex> lock(lane.mu);
-    const auto it = lane.map.find(key);
-    if (it != lane.map.end()) {
-      return Hit{it->second, /*cross_shard=*/false};  // our own unpublished store
-    }
-  }
-  const Stripe& stripe = StripeFor(key);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  const auto it = stripe.map.find(key);
-  if (it == stripe.map.end()) {
-    return std::nullopt;
-  }
-  Hit hit;
-  hit.p_value = it->second.p_value;
-  hit.cross_shard = it->second.shard != shard;
-  return hit;
-}
-
-std::optional<CICache::Hit> CICache::LookupFrom(const Key& key, uint32_t shard,
-                                                const WriteBuffer* pending) {
-  BumpCell(lookup_cells_, 1);
-  const auto hit = Probe(key, shard, pending);
-  if (hit) {
-    BumpCell(hit_cells_, 1);
-    if (hit->cross_shard) {
-      BumpCell(cross_cells_, 1);
-    }
-  }
-  return hit;
-}
-
-std::optional<CICache::Hit> CICache::LookupQuiet(const Key& key, uint32_t shard,
-                                                 const WriteBuffer* pending) const {
-  return Probe(key, shard, pending);
-}
-
-void CICache::Store(const Key& key, double p_value, uint32_t shard) {
-  {
-    Stripe& stripe = StripeFor(key);
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    if (max_entries_ > 0 && stripe.map.size() >= std::max<size_t>(1, max_entries_ / kStripes)) {
-      // Coarse per-stripe eviction: drop the stripe and start over. Entries
-      // are pure memoization, so losing them costs re-evaluation, never
-      // correctness; tracking recency on the hot path would cost more than
-      // the occasional refill. (The read table is deliberately left alone —
-      // a resident copy of an evicted entry still serves the same value.)
-      stripe.map.clear();
-    }
-    stripe.map.emplace(key, Entry{p_value, shard});
-  }
-  InsertReadTable(key, p_value, shard);
-}
-
-void CICache::StoreBuffered(const Key& key, double p_value, WriteBuffer* pending) {
-  WriteBuffer::Lane& lane = pending->lanes_[KeyHash{}(key) % WriteBuffer::kLanes];
-  {
-    std::lock_guard<std::mutex> lock(lane.mu);
-    lane.map.emplace(key, p_value);  // dupes carry the same value; first wins
-  }
-  pending->any_.store(true, std::memory_order_release);
-}
-
-void CICache::Publish(WriteBuffer* pending, uint32_t shard) {
-  if (!pending->any_.load(std::memory_order_acquire)) {
-    return;
-  }
-  for (WriteBuffer::Lane& lane : pending->lanes_) {
-    std::lock_guard<std::mutex> lock(lane.mu);
-    for (const auto& [key, p] : lane.map) {
-      Store(key, p, shard);
-    }
-    lane.map.clear();
-  }
-  // Publish must not race StoreBuffered on the same buffer (it is called at
-  // phase barriers / destruction, when the owning sweep is quiescent), so
-  // clearing the flag after the drain cannot lose a store.
-  pending->any_.store(false, std::memory_order_release);
-}
-
-void CICache::AddCounterSamples(long long lookups, long long hits, long long cross_shard) {
-  if (lookups != 0) {
-    BumpCell(lookup_cells_, lookups);
-  }
-  if (hits != 0) {
-    BumpCell(hit_cells_, hits);
-  }
-  if (cross_shard != 0) {
-    BumpCell(cross_cells_, cross_shard);
-  }
-}
+long long CICache::cross_shard_hits() const { return Sum(&Stripe::cross_shard_hits); }
 
 size_t CICache::size() const {
   size_t total = 0;
   for (const Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mu);
-    total += stripe.map.size();
+    total += stripe.live;
   }
   return total;
 }
@@ -326,28 +192,16 @@ size_t CICache::size() const {
 void CICache::Clear() {
   for (Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mu);
-    stripe.map.clear();
-  }
-  // Quiescence is the caller's contract (see header): with no concurrent
-  // readers or writers, resetting every slot to its empty state is safe.
-  ReadSlot* table = read_table_.load(std::memory_order_acquire);
-  if (table != nullptr) {
-    for (size_t i = 0; i < kReadSlots; ++i) {
-      table[i].seq.store(0, std::memory_order_relaxed);
-    }
-    std::atomic_thread_fence(std::memory_order_release);
+    DropAll(&stripe);
   }
 }
 
 void CICache::ResetCounters() {
-  for (CounterCell& cell : hit_cells_) {
-    cell.v.store(0, std::memory_order_relaxed);
-  }
-  for (CounterCell& cell : lookup_cells_) {
-    cell.v.store(0, std::memory_order_relaxed);
-  }
-  for (CounterCell& cell : cross_cells_) {
-    cell.v.store(0, std::memory_order_relaxed);
+  for (Stripe& stripe : stripes_) {
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    stripe.lookups = 0;
+    stripe.hits = 0;
+    stripe.cross_shard_hits = 0;
   }
 }
 
@@ -356,31 +210,38 @@ bool CICache::SaveTo(const std::string& path) const {
   if (!out) {
     return false;
   }
-  // Snapshot the stripes under their locks first so the entry count in the
-  // header is exact even while other shards keep storing.
-  std::vector<std::pair<Key, double>> entries;
-  for (const Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    entries.reserve(entries.size() + stripe.map.size());
-    for (const auto& [key, entry] : stripe.map) {
-      entries.emplace_back(key, entry.p_value);
-    }
-  }
   out.write(kCacheMagic, sizeof(kCacheMagic));
   binio::WriteU32(out, binio::kEndianMarker);
   binio::WriteU32(out, 0);  // reserved
-  binio::WriteU64(out, entries.size());
-  for (const auto& [key, p] : entries) {
-    binio::WriteU64(out, key.table_tag);
-    binio::WriteU32(out, static_cast<uint32_t>(key.x));
-    binio::WriteU32(out, static_cast<uint32_t>(key.y));
-    binio::WriteU64(out, key.n_rows);
-    binio::WriteU32(out, key.s_size);
-    for (size_t i = 0; i < kMaxConditioning; ++i) {
-      binio::WriteU32(out, static_cast<uint32_t>(key.s[i]));
+  // Entries stream out stripe by stripe, each under its lock, and the count
+  // is patched in afterwards: it stays exact while other shards keep
+  // storing, and no copy of the entries is ever built. (A snapshot copy of
+  // a large cache both costs its own size and, once freed, leaves the
+  // allocator holding freed memory resident.)
+  const std::streampos count_at = out.tellp();
+  binio::WriteU64(out, 0);
+  uint64_t written = 0;
+  for (const Stripe& stripe : stripes_) {
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    for (const Slot& slot : stripe.slots) {
+      if (slot.generation != stripe.generation) {
+        continue;
+      }
+      const Key& key = slot.key;
+      binio::WriteU64(out, key.table_tag);
+      binio::WriteU32(out, static_cast<uint32_t>(key.x));
+      binio::WriteU32(out, static_cast<uint32_t>(key.y));
+      binio::WriteU64(out, key.n_rows);
+      binio::WriteU32(out, key.s_size);
+      for (size_t i = 0; i < kMaxConditioning; ++i) {
+        binio::WriteU32(out, static_cast<uint32_t>(key.s[i]));
+      }
+      binio::WriteDouble(out, slot.p_value);
+      ++written;
     }
-    binio::WriteDouble(out, p);
   }
+  out.seekp(count_at);
+  binio::WriteU64(out, written);
   return static_cast<bool>(out);
 }
 
@@ -438,7 +299,7 @@ double CachedCITest::PValue(int x, int y, const std::vector<int>& s) const {
     return inner_.PValue(x, y, s);
   }
   const CICache::Key key = CICache::MakeKey(x, y, s, n_rows_, table_tag_);
-  if (const auto cached = cache_->LookupFrom(key, shard_, &pending_)) {
+  if (const auto cached = cache_->LookupFrom(key, shard_)) {
     ++hits_;
     if (cached->cross_shard) {
       ++cross_shard_hits_;
@@ -448,7 +309,7 @@ double CachedCITest::PValue(int x, int y, const std::vector<int>& s) const {
   // Concurrent misses on the same key may both evaluate; the test is
   // deterministic, so both store the same value.
   const double p = inner_.PValue(x, y, s);
-  cache_->StoreBuffered(key, p, &pending_);
+  cache_->Store(key, p, shard_);
   return p;
 }
 
@@ -470,7 +331,7 @@ int CachedCITest::FirstIndependent(const BatchedCIRequest& req, double* p_out) c
       p = inner_.PValue(req.x, req.y, s);
     } else {
       const CICache::Key key = CICache::MakeKey(req.x, req.y, s, n_rows_, table_tag_);
-      if (const auto cached = cache_->LookupFrom(key, shard_, &pending_)) {
+      if (const auto cached = cache_->LookupFrom(key, shard_)) {
         ++hits_;
         if (cached->cross_shard) {
           ++cross_shard_hits_;
@@ -478,7 +339,7 @@ int CachedCITest::FirstIndependent(const BatchedCIRequest& req, double* p_out) c
         p = cached->p_value;
       } else {
         p = inner_.PValue(req.x, req.y, s);
-        cache_->StoreBuffered(key, p, &pending_);
+        cache_->Store(key, p, shard_);
       }
     }
     if (p >= req.alpha) {
@@ -527,7 +388,7 @@ void CachedCITest::SpeculateFirstIndependent(const BatchedCIRequest& req,
       }
       if (!found) {
         const CICache::Key key = CICache::MakeKey(req.x, req.y, s, n_rows_, table_tag_);
-        if (const auto cached = cache_->LookupQuiet(key, shard_, &pending_)) {
+        if (const auto cached = cache_->LookupQuiet(key, shard_)) {
           p = cached->p_value;
           found = true;
           ++out->hits;
@@ -561,7 +422,7 @@ void CachedCITest::AdoptSpeculation(const CISpeculation& spec, const BatchedCIRe
   for (const auto& [index, p] : spec.stores) {
     const CICache::Key key =
         CICache::MakeKey(req.x, req.y, (*req.sets)[index], n_rows_, table_tag_);
-    cache_->StoreBuffered(key, p, &pending_);
+    cache_->Store(key, p, shard_);
   }
 }
 
@@ -581,12 +442,6 @@ void CachedCITest::AppendPendingOverlay(const CISpeculation& spec, const Batched
     std::vector<int> s = (*req.sets)[index];
     std::sort(s.begin(), s.end());
     (*overlay)[std::move(s)] = p;
-  }
-}
-
-void CachedCITest::PublishPending() const {
-  if (cache_ != nullptr) {
-    cache_->Publish(&pending_, shard_);
   }
 }
 

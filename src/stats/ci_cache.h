@@ -17,35 +17,32 @@
 // the same tag and share hits; the first divergent row changes the tag
 // forever after, so a stale cross-shard result can never be served.
 //
-// The cache is concurrent, with three tiers on the read path:
-//   1. A lock-free read table: a fixed-size open-addressed array of seqlock
-//      slots holding the hottest entries. Readers never take a lock and
-//      never write shared cache state, so eight sweep threads probing one
-//      cache stop serializing on stripe mutexes. It is a pure accelerator —
-//      a miss (empty slot, torn read, evicted entry) falls through to tier 3,
-//      so hit accounting never depends on it.
-//   2. An optional per-caller pending-write buffer (WriteBuffer): parallel
-//      search phases buffer their stores locally and publish them at phase
-//      barriers (deterministic points), instead of contending on the shared
-//      stripes mid-sweep. Lookups that pass their buffer see their own
-//      pending writes, so buffering is invisible to the owning caller.
-//   3. The authoritative striped-lock maps (writes always land here).
+// The cache is one tier: a fixed set of lock stripes, each an open-addressed
+// flat table (linear probing, power-of-two capacity, entries stored inline,
+// no allocation per entry) guarded by its own mutex. Stores write straight
+// into the table, first store wins. A critical section is one short probe,
+// so eight sweep threads spread over the stripes rarely wait on each other.
+//
+// Direct stores keep hit accounting deterministic without any publish
+// barrier: a search phase only ever looks up keys of the pair it is
+// examining, both sides of a pair are examined on one thread, and the
+// possible-d-sep merge that replays speculative stores runs serially after
+// its sweeps finish. So whether a lookup hits never depends on how worker
+// threads interleave.
 //
 // Every entry remembers which shard stored it so cross-shard hits ("how many
 // tests did the shared cache buy?") are accounted separately from
-// shard-local ones. Hit/lookup counters are sharded cells (summed on read)
-// so the counting itself does not bounce a cache line between sweep threads.
+// shard-local ones. The lookup/hit counters live in the stripes, bumped
+// under the lock the probe already holds.
 #ifndef UNICORN_STATS_CI_CACHE_H_
 #define UNICORN_STATS_CI_CACHE_H_
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "stats/independence.h"
@@ -83,39 +80,11 @@ class CICache {
     }
   };
 
-  struct KeyHash {
-    size_t operator()(const Key& k) const;
-  };
-
   // A successful lookup: the memoized p-value plus whether the entry was
   // stored by a different shard than the one asking.
   struct Hit {
     double p_value = 0.0;
     bool cross_shard = false;
-  };
-
-  // Per-caller buffer of stores not yet published to the shared stripes.
-  // Striped internally so one decorator's sweep workers can buffer
-  // concurrently; the owning CICache drains it in Publish(). Movable-nothing:
-  // owned by value inside a decorator, referenced by pointer elsewhere.
-  class WriteBuffer {
-   public:
-    WriteBuffer() = default;
-    WriteBuffer(const WriteBuffer&) = delete;
-    WriteBuffer& operator=(const WriteBuffer&) = delete;
-
-   private:
-    friend class CICache;
-    static constexpr size_t kLanes = 16;
-    struct Lane {
-      mutable std::mutex mu;
-      std::unordered_map<Key, double, KeyHash> map;
-    };
-    std::array<Lane, kLanes> lanes_;
-    // Cheap emptiness probe so lookups skip the lane lock entirely while the
-    // buffer has never been written (the overwhelmingly common case for
-    // read-heavy phases).
-    std::atomic<bool> any_{false};
   };
 
   // Canonical key: unordered pair + sorted conditioning set. `Cacheable`
@@ -135,36 +104,28 @@ class CICache {
     return hit ? std::optional<double>(hit->p_value) : std::nullopt;
   }
   // Shard-attributed lookup: counts a cross-shard hit when the entry was
-  // stored by a shard other than `shard`. When `pending` is given, the
-  // caller's unpublished stores are consulted too (as shard-local entries).
-  std::optional<Hit> LookupFrom(const Key& key, uint32_t shard,
-                                const WriteBuffer* pending = nullptr);
-  // Same probe sequence, but touches no counters — the speculative sweeps
-  // use it and replay the counter deltas only if the speculation is adopted.
-  std::optional<Hit> LookupQuiet(const Key& key, uint32_t shard,
-                                 const WriteBuffer* pending = nullptr) const;
+  // stored by a shard other than `shard`.
+  std::optional<Hit> LookupFrom(const Key& key, uint32_t shard);
+  // Same probe, but touches no counters — the speculative possible-d-sep
+  // sweeps use it and replay the counter deltas only if the speculation is
+  // adopted.
+  std::optional<Hit> LookupQuiet(const Key& key, uint32_t shard) const;
+  // Inserts unless the key is present (the test is deterministic, so a
+  // second store carries the same value; the first store keeps the shard
+  // attribution).
   void Store(const Key& key, double p_value, uint32_t shard = 0);
-  // Buffered store: lands in `pending` only; visible to lookups that pass
-  // the same buffer, published to the shared tiers by Publish().
-  void StoreBuffered(const Key& key, double p_value, WriteBuffer* pending);
-  // Phase barrier: drains `pending` into the striped maps and the read
-  // table, attributed to `shard`. Safe to call concurrently with lookups and
-  // stores from other callers.
-  void Publish(WriteBuffer* pending, uint32_t shard);
   // Replays the counter deltas of an adopted speculative sweep (which probed
   // via LookupQuiet so discarded sweeps leave no trace in the totals).
   void AddCounterSamples(long long lookups, long long hits, long long cross_shard);
 
-  long long hits() const { return SumCells(hit_cells_); }
-  long long lookups() const { return SumCells(lookup_cells_); }
+  long long hits() const;
+  long long lookups() const;
   // Hits on entries another shard paid for — the shared-cache dividend.
-  long long cross_shard_hits() const { return SumCells(cross_cells_); }
+  long long cross_shard_hits() const;
   size_t size() const;
-  // Drops every entry (striped maps and the read table). Requires external
-  // quiescence: no concurrent lookups or stores (the engine clears its
-  // private cache only between sweeps; the shared cache is never cleared
-  // mid-flight). The read-table seqlocks restart from their empty state, so
-  // a racing reader could otherwise see a torn refill as stable.
+  // Drops every entry in O(stripes): each stripe bumps its generation, which
+  // turns every slot it holds into an empty one, and keeps its capacity for
+  // the next refresh's working set.
   void Clear();
   void ResetCounters();
 
@@ -183,87 +144,57 @@ class CICache {
   long long LoadFrom(const std::string& path, uint32_t shard = 0);
 
  private:
-  struct Entry {
+  // A slot is live only while its generation equals its stripe's; every
+  // other slot is empty, whatever key it still holds.
+  struct Slot {
+    Key key;
     double p_value = 0.0;
     uint32_t shard = 0;  // who stored it (cross-shard hit accounting)
+    uint32_t generation = 0;
   };
-  // Striped locking: concurrent shard refreshes mostly touch different
-  // stripes, so the shared cache does not serialize the reasoning plane.
-  static constexpr size_t kStripes = 16;
-  struct Stripe {
+  // Striped locking: concurrent shard refreshes and sweep workers mostly
+  // touch different stripes, so the cache does not serialize the reasoning
+  // plane. Cache-line aligned so neighbouring stripes' locks and counters do
+  // not share a line.
+  static constexpr int kStripeBits = 4;
+  static constexpr size_t kStripes = size_t{1} << kStripeBits;
+  struct alignas(64) Stripe {
     mutable std::mutex mu;
-    std::unordered_map<Key, Entry, KeyHash> map;
+    std::vector<Slot> slots;  // empty until the first store; else a power of two
+    size_t live = 0;
+    uint32_t generation = 1;
+    long long lookups = 0;
+    long long hits = 0;
+    long long cross_shard_hits = 0;
   };
 
-  // Lock-free read tier: open-addressed seqlock slots. A slot is empty while
-  // seq == 0, mid-write while seq is odd, stable otherwise; writers only
-  // ever move seq forward (except under the quiescent Clear), so a reader
-  // that sees the same even seq before and after its field loads saw a
-  // consistent snapshot. The key is pre-packed into 8 words (trailing s[]
-  // entries are zero by construction) so the compare is branch-light.
-  struct ReadSlot {
-    std::atomic<uint32_t> seq{0};
-    std::atomic<uint32_t> shard{0};
-    std::atomic<uint64_t> p_bits{0};
-    std::array<std::atomic<uint64_t>, 8> words{};
-  };
-  static constexpr size_t kReadSlotsLog2 = 15;  // 32768 slots, ~2.8 MiB, lazy
-  static constexpr size_t kReadSlots = size_t{1} << kReadSlotsLog2;
-  static constexpr size_t kReadProbes = 8;  // linear probe window
-
-  // Sharded counter cells: each thread bumps a (sticky, thread-local) cell,
-  // totals are summed on read. Padded to a cache line each.
-  struct alignas(64) CounterCell {
-    std::atomic<long long> v{0};
-  };
-  static constexpr size_t kCounterCells = 8;
-  using CounterCells = std::array<CounterCell, kCounterCells>;
-
-  static void PackKey(const Key& key, std::array<uint64_t, 8>* words);
-  static long long SumCells(const CounterCells& cells);
-  static void BumpCell(CounterCells& cells, long long delta);
-
-  Stripe& StripeFor(const Key& key) { return stripes_[KeyHash{}(key) % kStripes]; }
-  const Stripe& StripeFor(const Key& key) const { return stripes_[KeyHash{}(key) % kStripes]; }
-
-  // The uncounted three-tier probe shared by LookupFrom and LookupQuiet.
-  std::optional<Hit> Probe(const Key& key, uint32_t shard, const WriteBuffer* pending) const;
-  std::optional<Hit> ProbeReadTable(const Key& key, uint32_t shard) const;
-  ReadSlot* EnsureReadTable();
-  void InsertReadTable(const Key& key, double p_value, uint32_t shard);
+  // Full-avalanche key hash: the top bits pick the stripe, the low bits the
+  // home slot.
+  static uint64_t Hash(const Key& key);
+  Stripe& StripeFor(uint64_t hash) { return stripes_[hash >> (64 - kStripeBits)]; }
+  const Stripe& StripeFor(uint64_t hash) const { return stripes_[hash >> (64 - kStripeBits)]; }
+  // Index of the slot holding `key`, or of the empty slot that ends its
+  // probe sequence. The stripe must have a table; callers hold its lock.
+  static size_t Find(const Stripe& stripe, const Key& key, uint64_t hash);
+  static void Grow(Stripe* stripe);
+  static void DropAll(Stripe* stripe);
+  long long Sum(long long Stripe::*counter) const;
 
   size_t max_entries_ = 0;
   std::array<Stripe, kStripes> stripes_;
-  mutable std::atomic<ReadSlot*> read_table_{nullptr};
-  std::unique_ptr<ReadSlot[]> read_table_storage_;
-  std::mutex read_init_mu_;
-  mutable CounterCells hit_cells_;
-  mutable CounterCells lookup_cells_;
-  mutable CounterCells cross_cells_;
 };
 
 // CITest decorator that consults a (shared) CICache before delegating.
 // `calls` on this object counts requested tests (hits + misses); `calls` on
 // the inner test counts the p-values actually evaluated. `hits()` and
 // `cross_shard_hits()` count locally — exact for this decorator even while
-// other shards hammer the same cache concurrently.
-//
-// Stores are buffered: evaluated p-values land in a decorator-private
-// WriteBuffer that this decorator's own lookups always consult, and are
-// published to the shared cache at phase barriers (PublishPending, called by
-// the search phases) and on destruction. Within one decorator the buffering
-// is invisible; other shards see the entries at the next barrier instead of
-// mid-sweep.
+// other shards hammer the same cache concurrently. Evaluated p-values are
+// stored straight into the cache.
 class CachedCITest : public CITest {
  public:
   CachedCITest(const CITest& inner, CICache* cache, uint64_t n_rows,
                uint64_t table_tag = 0, uint32_t shard = 0)
       : inner_(inner), cache_(cache), n_rows_(n_rows), table_tag_(table_tag), shard_(shard) {}
-  ~CachedCITest() override {
-    if (cache_ != nullptr) {
-      cache_->Publish(&pending_, shard_);
-    }
-  }
 
   double PValue(int x, int y, const std::vector<int>& s) const override;
 
@@ -273,14 +204,13 @@ class CachedCITest : public CITest {
 
   // Speculative sweep protocol (see CITest): probes via LookupQuiet and
   // records stores/counter deltas in the speculation; adoption replays them
-  // onto this decorator, the cache totals, and the pending buffer.
+  // onto this decorator and the cache.
   void SpeculateFirstIndependent(const BatchedCIRequest& req, const PendingPValues* overlay,
                                  CISpeculation* out) const override;
   void AdoptSpeculation(const CISpeculation& spec, const BatchedCIRequest& req) const override;
   void DiscardSpeculation(const CISpeculation& spec) const override;
   void AppendPendingOverlay(const CISpeculation& spec, const BatchedCIRequest& req,
                             PendingPValues* overlay) const override;
-  void PublishPending() const override;
 
   const CITest& inner() const { return inner_; }
   long long hits() const { return hits_.load(); }
@@ -294,7 +224,6 @@ class CachedCITest : public CITest {
   uint32_t shard_;
   mutable std::atomic<long long> hits_{0};
   mutable std::atomic<long long> cross_shard_hits_{0};
-  mutable CICache::WriteBuffer pending_;
 };
 
 }  // namespace unicorn

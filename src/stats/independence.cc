@@ -107,7 +107,9 @@ void CITest::AppendPendingOverlay(const CISpeculation& spec, const BatchedCIRequ
 FisherZTest::FisherZTest(const DataTable& table, ThreadPool* pool) { Update(table, pool); }
 
 void FisherZTest::Update(const DataTable& table, ThreadPool* pool) {
-  std::lock_guard<std::mutex> lock(mu_);
+  if (corr_ == nullptr || table.NumVars() != num_vars_) {
+    corr_ = std::make_unique<std::atomic<double>[]>(table.NumVars() * table.NumVars());
+  }
   n_ = table.NumRows();
   num_vars_ = table.NumVars();
   stride_ = simd::PaddedStride(n_);
@@ -149,23 +151,23 @@ void FisherZTest::Update(const DataTable& table, ThreadPool* pool) {
       rank_column(v);
     }
   }
-  corr_.assign(num_vars_ * num_vars_, std::numeric_limits<double>::quiet_NaN());
+  for (size_t i = 0; i < num_vars_ * num_vars_; ++i) {
+    corr_[i].store(std::numeric_limits<double>::quiet_NaN(), std::memory_order_relaxed);
+  }
 }
 
 double FisherZTest::Correlation(size_t a, size_t b) const {
   if (a == b) {
     return 1.0;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const double memo = corr_[a * num_vars_ + b];
-    if (!std::isnan(memo)) {
-      return memo;
-    }
+  // The correlation is the memo entry's only payload, so relaxed ordering
+  // suffices. Concurrent misses compute the same deterministic value and
+  // their stores are identical.
+  std::atomic<double>& memo = corr_[a * num_vars_ + b];
+  const double cached = memo.load(std::memory_order_relaxed);
+  if (!std::isnan(cached)) {
+    return cached;
   }
-  // Compute outside the lock so parallel sweep workers do not serialize on
-  // the O(n) dot product; concurrent misses compute the same deterministic
-  // value and both stores are identical (same policy as the CI cache).
   double r = 0.0;
   if (n_ >= 2 && norm_[a] > 0.0 && norm_[b] > 0.0) {
     const double* ca = &centered_[a * stride_];
@@ -182,9 +184,8 @@ double FisherZTest::Correlation(size_t a, size_t b) const {
     r = dot / (norm_[a] * norm_[b]);
     r = std::max(-1.0, std::min(1.0, r));
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  corr_[a * num_vars_ + b] = r;
-  corr_[b * num_vars_ + a] = r;
+  memo.store(r, std::memory_order_relaxed);
+  corr_[b * num_vars_ + a].store(r, std::memory_order_relaxed);
   return r;
 }
 
@@ -251,7 +252,26 @@ double FisherZTest::PValue(int x, int y, const std::vector<int>& s) const {
 // --- GSquareTest ------------------------------------------------------------
 
 GSquareTest::GSquareTest(const DataTable& table, int max_bins)
-    : table_(&table), max_bins_(max_bins), rows_(table.NumRows()), coded_(table.NumVars()) {}
+    : table_(&table), max_bins_(max_bins), rows_(table.NumRows()) {
+  ResetMemo();
+}
+
+void GSquareTest::ResetMemo() {
+  const size_t num_vars = table_->NumVars();
+  coded_.clear();
+  coded_.resize(num_vars);
+  coded_ready_ = std::make_unique<std::atomic<const ColumnState*>[]>(num_vars);
+  strata_.clear();
+  strata_ready_ = std::make_unique<std::atomic<const StratumState*>[]>(num_vars + 1);
+}
+
+std::atomic<const GSquareTest::StratumState*>* GSquareTest::ReadyStratum(
+    const std::vector<int>& s) const {
+  if (s.size() > 1) {
+    return nullptr;
+  }
+  return &strata_ready_[s.empty() ? 0 : static_cast<size_t>(s[0]) + 1];
+}
 
 GSquareTest::ColumnState GSquareTest::BuildColumnState(size_t v) const {
   const std::vector<double>& col = table_->Col(v);
@@ -305,9 +325,7 @@ void GSquareTest::Update(const DataTable& table) {
   table_ = &table;
   rows_ = table.NumRows();
   if (!incremental) {
-    coded_.clear();
-    coded_.resize(table.NumVars());
-    strata_.clear();
+    ResetMemo();
     ++epoch_counter_;  // conservatively invalidate any strata built later
     return;
   }
@@ -340,6 +358,9 @@ void GSquareTest::Update(const DataTable& table) {
       }
     }
     if (!extendable) {
+      if (auto* ready = ReadyStratum(key)) {
+        ready->store(nullptr, std::memory_order_relaxed);
+      }
       it = strata_.erase(it);
       continue;
     }
@@ -375,11 +396,8 @@ void GSquareTest::Update(const DataTable& table) {
 }
 
 const GSquareTest::ColumnState& GSquareTest::Coded(size_t v) const {
-  {
-    std::lock_guard<std::mutex> lock(coded_mu_);
-    if (coded_[v] != nullptr) {
-      return *coded_[v];
-    }
+  if (const ColumnState* ready = coded_ready_[v].load(std::memory_order_acquire)) {
+    return *ready;
   }
   // Discretize outside the lock so sweep workers do not serialize on the
   // O(n log n) coding; concurrent misses produce identical columns and the
@@ -389,11 +407,18 @@ const GSquareTest::ColumnState& GSquareTest::Coded(size_t v) const {
   if (coded_[v] == nullptr) {
     fresh->epoch = ++epoch_counter_;
     coded_[v] = std::move(fresh);
+    coded_ready_[v].store(coded_[v].get(), std::memory_order_release);
   }
   return *coded_[v];
 }
 
 const GSquareTest::StratumState& GSquareTest::Strata(const std::vector<int>& s) const {
+  std::atomic<const StratumState*>* ready = ReadyStratum(s);
+  if (ready != nullptr) {
+    if (const StratumState* st = ready->load(std::memory_order_acquire)) {
+      return *st;
+    }
+  }
   std::vector<int> key = s;
   std::sort(key.begin(), key.end());
   {
@@ -421,7 +446,11 @@ const GSquareTest::StratumState& GSquareTest::Strata(const std::vector<int>& s) 
   std::lock_guard<std::mutex> lock(strata_mu_);
   // Another worker may have inserted the same key meanwhile; emplace keeps
   // the first copy and both are identical.
-  return strata_.emplace(std::move(key), std::move(fresh)).first->second;
+  const StratumState& st = strata_.emplace(std::move(key), std::move(fresh)).first->second;
+  if (ready != nullptr) {
+    ready->store(&st, std::memory_order_release);
+  }
+  return st;
 }
 
 double GSquareTest::PValueFrom(const ColumnState& sx, const ColumnState& sy,

@@ -12,7 +12,17 @@
 // quantities (rank correlations, coded columns, conditioning strata) are
 // computed lazily per pair / per conditioning set and memoized, so a sparse
 // warm-started skeleton search touching few pairs pays only for those pairs.
-// All tests are safe to call concurrently from the parallel skeleton sweep.
+//
+// Thread safety: PValue, FirstIndependent and the memo accessors are safe to
+// call concurrently from the parallel sweeps; Update must not overlap them.
+// A memo entry is filled at most once per Update and published through an
+// atomic, so every read after its first touch takes no lock: the Fisher-z
+// correlation memo is one atomic per pair, and G²'s coded columns and its
+// empty and singleton strata sit behind atomic pointers. Only strata of two
+// or more conditioning variables go through a mutex-guarded map. Concurrent
+// first touches compute the same deterministic value; the first to publish
+// wins. All structural mutation of the memos (invalidation, extension,
+// erasure) happens inside Update.
 //
 // Kernel layers (see stats/simd.h): FisherZTest stores its centered
 // mid-ranks as one aligned SoA block and reduces with the blocked dot;
@@ -119,10 +129,6 @@ class CITest {
   // cache. No-op for uncached tests, which have no cross-sweep visibility.
   virtual void AppendPendingOverlay(const CISpeculation& spec, const BatchedCIRequest& req,
                                     PendingPValues* overlay) const;
-  // Phase barrier: publish any pending (buffered) cache writes so they
-  // become visible to other shards / future phases. No-op for uncached
-  // tests; CachedCITest drains its per-decorator write buffer.
-  virtual void PublishPending() const {}
 
   // Number of tests issued so far (for scalability reporting). All discovery
   // code derives its test counts from this counter — never by hand — so the
@@ -168,8 +174,7 @@ class FisherZTest : public CITest {
   simd::AlignedVector<double> centered_;
   std::vector<double> norm_;
   // Flattened memo of pairwise correlations; NaN = not yet computed.
-  mutable std::vector<double> corr_;
-  mutable std::mutex mu_;
+  std::unique_ptr<std::atomic<double>[]> corr_;
 };
 
 // G-test of conditional independence on the discretized table:
@@ -190,9 +195,9 @@ class FisherZTest : public CITest {
 // their coding append stable dense ids (ids are assigned by first
 // appearance, which appending preserves). Everything extension cannot
 // reproduce bit-identically is recoded from scratch, so the codes always
-// equal what a cold test would compute. All mutation of memoized state
-// happens inside Update (never concurrently with the sweep), so references
-// handed out during a sweep stay valid.
+// equal what a cold test would compute. All structural mutation of memoized
+// state happens inside Update (never concurrently with the sweep), so
+// references handed out during a sweep stay valid.
 class GSquareTest : public CITest {
  public:
   explicit GSquareTest(const DataTable& table, int max_bins = 5);
@@ -236,11 +241,22 @@ class GSquareTest : public CITest {
   // rows cannot extend the coding bit-identically.
   bool TryExtendColumn(size_t v, ColumnState* state, size_t old_rows) const;
 
+  // Drops every memoized column and stratum (sized for table_'s width).
+  void ResetMemo();
+  // The lock-free pointer for an empty or singleton conditioning set;
+  // nullptr for larger sets, which only live in strata_.
+  std::atomic<const StratumState*>* ReadyStratum(const std::vector<int>& s) const;
+
   const DataTable* table_;
   int max_bins_;
   size_t rows_ = 0;  // snapshot row count; codes/strata all have this length
+  // coded_ owns the columns; coded_ready_[v] publishes column v once built.
   mutable std::vector<std::unique_ptr<ColumnState>> coded_;
+  std::unique_ptr<std::atomic<const ColumnState*>[]> coded_ready_;
+  // strata_ owns every stratum. strata_ready_[0] publishes the empty
+  // conditioning set and strata_ready_[v + 1] the singleton {v}.
   mutable std::map<std::vector<int>, StratumState> strata_;
+  std::unique_ptr<std::atomic<const StratumState*>[]> strata_ready_;
   mutable uint64_t epoch_counter_ = 0;
   mutable std::mutex coded_mu_;
   mutable std::mutex strata_mu_;

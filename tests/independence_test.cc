@@ -1,6 +1,9 @@
 #include "stats/independence.h"
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -218,6 +221,110 @@ TEST(CompositeTest, TracksCallCount) {
   test.PValue(0, 1, {});
   test.PValue(0, 1, {});
   EXPECT_GE(test.calls, 2);
+}
+
+// TSan target: eight threads race on the lock-free memo reads — Fisher-z
+// correlations, G² coded columns and G² empty / singleton strata — from
+// their first touch on, then again after an incremental Update. Every
+// p-value must equal a serial test's bit for bit.
+TEST(IndependenceConcurrencyTest, MemoReadHammerMatchesSerialBitForBit) {
+  constexpr size_t kContinuous = 6;
+  constexpr size_t kDiscrete = 6;
+  std::vector<Variable> vars;
+  for (size_t v = 0; v < kContinuous; ++v) {
+    vars.push_back({"c" + std::to_string(v), VarType::kContinuous, VarRole::kEvent, {}});
+  }
+  for (size_t v = 0; v < kDiscrete; ++v) {
+    vars.push_back({"d" + std::to_string(v), VarType::kDiscrete, VarRole::kOption, {0, 1, 2}});
+  }
+  DataTable table(vars);
+  Rng rng(11);
+  const auto add_rows = [&](int rows) {
+    for (int r = 0; r < rows; ++r) {
+      std::vector<double> row(vars.size());
+      const double base = rng.Gaussian();
+      for (size_t v = 0; v < kContinuous; ++v) {
+        row[v] = (v % 2 == 0 ? base : -base) * (v + 1) + rng.Gaussian(0, 1.0);
+      }
+      for (size_t v = 0; v < kDiscrete; ++v) {
+        row[kContinuous + v] = base > 0.3 * static_cast<double>(v % 3)
+                                   ? static_cast<double>(rng.UniformInt(uint64_t{2}))
+                                   : 2.0;
+      }
+      table.AddRow(row);
+    }
+  };
+  add_rows(300);
+
+  struct Query {
+    int x;
+    int y;
+    std::vector<int> s;
+  };
+  std::vector<Query> queries;
+  const int n = static_cast<int>(vars.size());
+  for (int x = 0; x < n; ++x) {
+    for (int y = x + 1; y < n; ++y) {
+      queries.push_back({x, y, {}});
+      for (int z = 0; z < n; ++z) {
+        if (z != x && z != y) {
+          queries.push_back({x, y, {z}});
+        }
+      }
+    }
+  }
+  const auto bits = [](double d) {
+    uint64_t b = 0;
+    std::memcpy(&b, &d, sizeof(b));
+    return b;
+  };
+
+  FisherZTest fisher(table);
+  GSquareTest gsq(table);
+  for (int phase = 0; phase < 2; ++phase) {
+    if (phase == 1) {
+      // Appended rows: G² extends or recodes its columns and drops strata
+      // whose members recoded, so the fast paths must be re-derived.
+      add_rows(40);
+      fisher.Update(table);
+      gsq.Update(table);
+    }
+    const FisherZTest serial_fisher(table);
+    const GSquareTest serial_gsq(table);
+    std::vector<uint64_t> want_fisher;
+    std::vector<uint64_t> want_gsq;
+    for (const Query& q : queries) {
+      want_fisher.push_back(bits(serial_fisher.PValue(q.x, q.y, q.s)));
+      want_gsq.push_back(bits(serial_gsq.PValue(q.x, q.y, q.s)));
+    }
+
+    constexpr int kThreads = 8;
+    std::atomic<long long> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int round = 0; round < 2; ++round) {
+          // Staggered starts make the threads race on first touches.
+          for (size_t k = 0; k < queries.size(); ++k) {
+            const size_t i = (k + static_cast<size_t>(t) * queries.size() / kThreads) %
+                             queries.size();
+            const Query& q = queries[i];
+            if (bits(fisher.PValue(q.x, q.y, q.s)) != want_fisher[i] ||
+                bits(gsq.PValue(q.x, q.y, q.s)) != want_gsq[i] ||
+                bits(fisher.Correlation(static_cast<size_t>(q.x), static_cast<size_t>(q.y))) !=
+                    bits(serial_fisher.Correlation(static_cast<size_t>(q.x),
+                                                   static_cast<size_t>(q.y)))) {
+              ++mismatches;
+            }
+          }
+        }
+      });
+    }
+    for (auto& th : threads) {
+      th.join();
+    }
+    EXPECT_EQ(mismatches.load(), 0) << "phase " << phase;
+  }
 }
 
 }  // namespace

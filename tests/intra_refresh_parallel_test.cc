@@ -1,13 +1,14 @@
 // Intra-refresh parallelism contract: the parallel Possible-D-SEP and
-// entropic phases, the buffered/lock-free CI cache tiers, and the
-// speculation accounting must all be invisible in the results — any engine
-// thread count reproduces the serial reference bit-for-bit, including the
-// test-call and cache-hit ledgers.
+// entropic phases, the concurrent one-tier CI cache, and the speculation
+// accounting must all be invisible in the results — any engine thread count
+// reproduces the serial reference bit-for-bit, including the test-call and
+// cache-hit ledgers.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -223,7 +224,7 @@ TEST(IntraRefreshParallelTest, EngineRefreshBitIdenticalAcrossThreadCounts) {
     }
     engine.Refresh(411);
     // Second, warm refresh after appended rows: exercises Update(pool),
-    // warm-start dirty tracking, and the cache across a publish barrier.
+    // warm-start dirty tracking, and the cache across a Clear.
     for (size_t r = 0; r < 40; ++r) {
       engine.AddRow(world.data.Row(r % world.data.NumRows()));
     }
@@ -275,7 +276,6 @@ TEST(IntraRefreshParallelTest, SpeculationAccountingIsInvisible) {
     const CachedCITest cached(inner, &cache, world.data.NumRows());
     // Warm the cache so the speculation has hits to account for.
     const int warm_idx = cached.FirstIndependent(req);
-    cached.PublishPending();
     const long long calls_before = cached.calls.load();
     const long long inner_before = inner.calls.load();
     const long long dec_hits_before = cached.hits();
@@ -304,99 +304,145 @@ TEST(IntraRefreshParallelTest, SpeculationAccountingIsInvisible) {
   }
 }
 
-TEST(IntraRefreshParallelTest, WriteBufferVisibilityAndPublish) {
-  CICache cache;
-  CICache::WriteBuffer pending;
-  const CICache::Key key = CICache::MakeKey(1, 2, {3, 4}, 500, 99);
-  cache.StoreBuffered(key, 0.25, &pending);
-
-  // Visible to lookups that carry the buffer, invisible to everyone else.
-  const auto own = cache.LookupFrom(key, 0, &pending);
-  ASSERT_TRUE(own.has_value());
-  EXPECT_EQ(own->p_value, 0.25);
-  EXPECT_FALSE(own->cross_shard);
-  EXPECT_FALSE(cache.LookupFrom(key, 0).has_value());
-
-  // Publish is the phase barrier: afterwards the entry is shared state,
-  // attributed to the publishing shard.
-  cache.Publish(&pending, 7);
-  const auto shared = cache.LookupFrom(key, 0);
-  ASSERT_TRUE(shared.has_value());
-  EXPECT_EQ(shared->p_value, 0.25);
-  EXPECT_TRUE(shared->cross_shard);
-  EXPECT_FALSE(cache.LookupFrom(key, 7)->cross_shard);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-// TSan target: eight threads hammer the lock-free read path while buffering
-// private stores and publishing them at their own barriers, with a ninth
-// writer mutating the shared stripes throughout.
-TEST(IntraRefreshParallelTest, ConcurrentFastPathReadHammer) {
+// TSan target: eight threads look up and store concurrently while the
+// stripes grow under them. The counters must be exact, every stored key must
+// be found, and re-storing a key must not move its shard attribution.
+TEST(IntraRefreshParallelTest, OneTierCacheConcurrentLookupStoreHammer) {
   CICache cache;
   constexpr int kSharedKeys = 64;
-  std::vector<CICache::Key> keys;
+  std::vector<CICache::Key> shared;
   for (int i = 0; i < kSharedKeys; ++i) {
-    keys.push_back(CICache::MakeKey(i % 11, 16 + i % 13, {i % 7, 8 + i % 5}, 500, 7));
-    cache.Store(keys.back(), 1e-3 * i, /*shard=*/0);
+    shared.push_back(CICache::MakeKey(i % 11, 16 + i % 13, {i % 7, 8 + i % 5}, 500, 7));
+    cache.Store(shared.back(), 1e-3 * i, /*shard=*/0);
   }
+  const auto own_key = [](int t, int i) {
+    return CICache::MakeKey(100 + t, 200 + i, {3, 5}, 500, 7);
+  };
 
   constexpr int kThreads = 8;
-  constexpr int kIters = 250;
-  std::array<CICache::WriteBuffer, kThreads> buffers;
-  std::array<long long, kThreads> found{};
+  constexpr int kOwnKeys = 1500;  // ~12k entries: every stripe grows mid-hammer
   std::atomic<bool> ok{true};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      long long local_found = 0;
-      for (int iter = 0; iter < kIters; ++iter) {
-        for (int k = 0; k < kSharedKeys; ++k) {
-          const auto hit = cache.LookupFrom(keys[k], /*shard=*/1, &buffers[t]);
-          if (hit.has_value()) {
-            ++local_found;
-            if (hit->p_value != 1e-3 * k) {
-              ok.store(false);  // torn or misattributed value
-            }
-          }
+      const uint32_t me = 10 + static_cast<uint32_t>(t);
+      for (int i = 0; i < kOwnKeys; ++i) {
+        const CICache::Key mine = own_key(t, i);
+        cache.Store(mine, 0.5 + t, me);
+        const auto own = cache.LookupFrom(mine, me);
+        if (!own || own->p_value != 0.5 + t || own->cross_shard) {
+          ok.store(false);  // a store must be visible to its own thread at once
         }
-        const auto mine =
-            CICache::MakeKey(100 + t, 200 + iter % 16, {3, 5}, 500, 7);
-        cache.StoreBuffered(mine, 0.5, &buffers[t]);
-        if (!cache.LookupFrom(mine, 1, &buffers[t]).has_value()) {
-          ok.store(false);  // own pending store must always be visible
+        const int k = i % kSharedKeys;
+        const auto other = cache.LookupFrom(shared[k], /*shard=*/1);
+        if (!other || other->p_value != 1e-3 * k || !other->cross_shard) {
+          ok.store(false);  // torn, lost or misattributed entry
         }
+        if (cache.LookupFrom(CICache::MakeKey(100 + t, 200 + i, {3, 6}, 500, 7), me)) {
+          ok.store(false);  // never stored
+        }
+        cache.Store(shared[k], 1e-3 * k, /*shard=*/2);  // duplicate: first store wins
       }
-      // Each thread publishes its own quiescent buffer while the others are
-      // still reading — the contract Publish documents.
-      cache.Publish(&buffers[t], static_cast<uint32_t>(t));
-      found[t] = local_found;
     });
   }
-  // Shared-stripe writer racing the read fast path.
-  std::thread writer([&] {
-    for (int iter = 0; iter < kIters; ++iter) {
-      for (int k = 0; k < kSharedKeys; k += 3) {
-        cache.Store(keys[k], 1e-3 * k, /*shard=*/2);
-      }
-    }
-  });
   for (auto& th : threads) {
     th.join();
   }
-  writer.join();
 
   EXPECT_TRUE(ok.load());
+  const long long rounds = static_cast<long long>(kThreads) * kOwnKeys;
+  EXPECT_EQ(cache.lookups(), 3 * rounds);
+  EXPECT_EQ(cache.hits(), 2 * rounds);
+  EXPECT_EQ(cache.cross_shard_hits(), rounds);
+  EXPECT_EQ(cache.size(), static_cast<size_t>(kSharedKeys + rounds));
   for (int t = 0; t < kThreads; ++t) {
-    // Pre-populated shared keys never disappear: every lookup must hit.
-    EXPECT_EQ(found[t], static_cast<long long>(kSharedKeys) * kIters) << "thread " << t;
-  }
-  // Every published private key is now globally visible.
-  for (int t = 0; t < kThreads; ++t) {
-    for (int i = 0; i < 16; ++i) {
-      const auto key = CICache::MakeKey(100 + t, 200 + i, {3, 5}, 500, 7);
-      EXPECT_TRUE(cache.LookupFrom(key, 0).has_value()) << "thread " << t << " key " << i;
+    for (int i = 0; i < kOwnKeys; ++i) {
+      const auto hit = cache.LookupQuiet(own_key(t, i), 10 + static_cast<uint32_t>(t));
+      ASSERT_TRUE(hit.has_value()) << "thread " << t << " key " << i;
+      EXPECT_FALSE(hit->cross_shard);
     }
   }
+  for (const CICache::Key& key : shared) {
+    const auto hit = cache.LookupQuiet(key, 0);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_FALSE(hit->cross_shard) << "attribution moved to a later store";
+  }
+}
+
+::testing::AssertionResult SameBits(double a, double b) {
+  if (std::memcmp(&a, &b, sizeof(a)) == 0) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << a << " vs " << b;
+}
+
+TEST(IntraRefreshParallelTest, OneTierCacheGrowthClearEvictionAndReload) {
+  const auto key_of = [](int i) {
+    return CICache::MakeKey(i % 97, 100 + i / 97, {i % 5}, 300, 42);
+  };
+  const auto p_of = [](int i) { return 1.0 / (i + 1); };
+  constexpr int kKeys = 5000;  // many doublings of every stripe
+
+  CICache cache;
+  for (int i = 0; i < kKeys; ++i) {
+    cache.Store(key_of(i), p_of(i), /*shard=*/3);
+  }
+  EXPECT_EQ(cache.size(), static_cast<size_t>(kKeys));
+  for (int i = 0; i < kKeys; ++i) {
+    const auto hit = cache.LookupQuiet(key_of(i), 3);
+    ASSERT_TRUE(hit.has_value()) << "key " << i;
+    EXPECT_TRUE(SameBits(hit->p_value, p_of(i))) << "key " << i;
+  }
+
+  // A grown table round-trips through a snapshot, bit for bit.
+  const std::string path = ::testing::TempDir() + "one_tier_cache.bin";
+  ASSERT_TRUE(cache.SaveTo(path));
+  CICache restored;
+  EXPECT_EQ(restored.LoadFrom(path, /*shard=*/9), kKeys);
+  EXPECT_EQ(restored.size(), static_cast<size_t>(kKeys));
+  for (int i = 0; i < kKeys; ++i) {
+    const auto hit = restored.LookupQuiet(key_of(i), 9);
+    ASSERT_TRUE(hit.has_value()) << "key " << i;
+    EXPECT_TRUE(SameBits(hit->p_value, p_of(i))) << "key " << i;
+  }
+
+  // Clear drops every entry while the slots still hold their old keys; a
+  // refill must neither resurrect a dropped entry nor be blocked by one.
+  for (int round = 0; round < 3; ++round) {
+    cache.Clear();
+    EXPECT_EQ(cache.size(), 0u);
+    for (int i = 0; i < kKeys; i += 7) {
+      EXPECT_FALSE(cache.LookupQuiet(key_of(i), 3).has_value()) << "key " << i;
+    }
+    const int refill = kKeys / (round + 2);
+    for (int i = 0; i < refill; ++i) {
+      cache.Store(key_of(i), 2.0 * p_of(i) + round, /*shard=*/4);
+    }
+    EXPECT_EQ(cache.size(), static_cast<size_t>(refill));
+    for (int i = 0; i < kKeys; ++i) {
+      const auto hit = cache.LookupQuiet(key_of(i), 3);
+      ASSERT_EQ(hit.has_value(), i < refill) << "round " << round << " key " << i;
+      if (hit) {
+        EXPECT_TRUE(SameBits(hit->p_value, 2.0 * p_of(i) + round)) << "key " << i;
+        EXPECT_TRUE(hit->cross_shard);  // refilled by shard 4
+      }
+    }
+  }
+
+  // A bounded cache never exceeds its budget, and the entry just stored is
+  // always served.
+  constexpr size_t kBudget = 160;  // 10 per stripe
+  CICache bounded(kBudget);
+  bool within_budget = true;
+  bool newest_found = true;
+  for (int i = 0; i < kKeys; ++i) {
+    bounded.Store(key_of(i), p_of(i));
+    within_budget &= bounded.size() <= kBudget;
+    newest_found &= bounded.LookupQuiet(key_of(i), 0).has_value();
+  }
+  EXPECT_TRUE(within_budget);
+  EXPECT_TRUE(newest_found);
+  EXPECT_GT(bounded.size(), 0u);
 }
 
 }  // namespace
