@@ -336,8 +336,9 @@ bool RunPerRefreshStudy(bool smoke, bench::JsonResults* json, double gate_multip
 // {1, 2, 4, 8}. Two gates:
 //   - bit identity (always): every thread count must reproduce the t=1
 //     discovery graph AND the t=1 test/cache accounting exactly — the
-//     parallel PDS/entropic phases and the buffered cache publishes are
-//     contracted to be invisible in the results.
+//     parallel skeleton levels and entropic phase and the shared cache's
+//     direct stores are contracted to be invisible in the results (the
+//     PDS phase itself runs serially at every thread count).
 //   - scaling (full mode, hosts with >= 8 hardware threads only): t=8 must
 //     be >= 2x faster per refresh than t=1. Timing is never gated on
 //     hosted-CI-sized machines.

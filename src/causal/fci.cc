@@ -364,17 +364,16 @@ namespace {
 
 // --- Possible-D-SEP phase ---------------------------------------------------
 //
-// The serial reference walks sources x in order, neighbors y in adjacency
-// order, and for each remaining edge sweeps subsets of pds(x)\{y} by size
-// until one renders the pair independent; a removal immediately refreshes
-// pds(x) for later neighbors. Unlike the PC-stable skeleton levels, later
-// pairs therefore *do* depend on earlier removals — so the parallel form
-// below speculates every sweep against the phase-entry graph and re-validates
-// each pair's conditioning pool during a deterministic in-order merge,
-// falling back to an inline re-sweep when an earlier removal changed it.
+// Walks sources x in order, neighbors y in adjacency order, and for each
+// remaining edge sweeps subsets of pds(x)\{y} by size until one renders the
+// pair independent; a removal immediately refreshes pds(x) for later
+// neighbors. Unlike the PC-stable skeleton levels, later pairs therefore
+// depend on earlier removals, so the phase runs serially: sweeps run in
+// parallel against a graph snapshot would have to be revalidated in this
+// order, and on PDS-heavy workloads most of them would be re-run.
 
-// Pool of conditioning candidates the serial loop uses for side (x, y):
-// pds(x) minus {y} and the objective sinks.
+// Pool of conditioning candidates for side (x, y): pds(x) minus {y} and the
+// objective sinks.
 std::vector<size_t> FilterPdsPool(const std::vector<size_t>& pds_base, size_t y,
                                   const StructuralConstraints& constraints) {
   std::vector<size_t> pds = pds_base;
@@ -386,9 +385,9 @@ std::vector<size_t> FilterPdsPool(const std::vector<size_t>& pds_base, size_t y,
   return pds;
 }
 
-// One side's whole sweep, precomputed: the subsets in exactly the order the
-// serial d-loop examines them (sizes 1..max_pds_cond_size, lexicographic
-// within a size, capped per size), plus their int form for the CI request.
+// One side's whole sweep, precomputed: the subsets in examination order
+// (sizes 1..max_pds_cond_size, lexicographic within a size, capped per size),
+// plus their int form for the CI request.
 struct PdsSweep {
   std::vector<std::vector<size_t>> subsets;  // for SepsetMap::Set
   std::vector<std::vector<int>> sets;        // for BatchedCIRequest
@@ -406,232 +405,35 @@ PdsSweep BuildPdsSweep(const std::vector<size_t>& pool, const FciOptions& option
   return sweep;
 }
 
-// One ordered side (x, y) of a remaining edge in the parallel phase.
-struct PdsSide {
-  size_t x = 0;
-  size_t y = 0;
-  bool candidate = false;   // passed the static (graph-independent) filters
-  bool speculated = false;  // a worker ran the speculative sweep
-  bool resolved = false;    // merge adopted or discarded the speculation
-  std::vector<size_t> pool0;  // filtered pool against the phase-entry graph
-  PdsSweep sweep;
-  CISpeculation spec;
-
-  BatchedCIRequest Request(double alpha) const {
-    BatchedCIRequest req;
-    req.x = static_cast<int>(x);
-    req.y = static_cast<int>(y);
-    req.sets = &sweep.sets;
-    req.alpha = alpha;
-    return req;
-  }
-};
-
-// Both sides of one remaining edge {a, b}: side[0] = (a, b) is the side the
-// serial loop visits first (turn a comes before turn b).
-struct PdsEdgeGroup {
-  PdsSide side[2];
-  bool side0_clean_adopt = false;  // side[0] adopted as speculated, no removal
-};
-
 void PossibleDSepPhase(const CITest& test, const StructuralConstraints& constraints,
                        size_t num_vars, const FciOptions& options,
-                       const SkeletonWarmStart& warm, ThreadPool* pool, MixedGraph* graph,
-                       SepsetMap* sepsets) {
+                       const SkeletonWarmStart& warm, MixedGraph* graph, SepsetMap* sepsets) {
   MixedGraph& g = *graph;
   const size_t n = num_vars;
   const bool warm_active = warm.Active();
-  const double alpha = options.skeleton.alpha;
-  // Graph-independent per-side filters, shared by the serial loop, the task
-  // construction, and the merge.
-  const auto static_candidate = [&](size_t x, size_t y) {
-    return !constraints.EdgeRequired(x, y) && !(warm_active && !warm.Dirty(x, y, n));
-  };
-
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    // Serial reference: identical control flow to the parallel merge below,
-    // with each side's subsets submitted as one batched FirstIndependent.
-    for (size_t x = 0; x < n; ++x) {
-      const auto adj = g.Adjacent(x);
-      // PossibleDSep depends only on the graph, which changes only on edge
-      // removal: compute it once per x and refresh after removals instead of
-      // re-running the O(n^2) BFS for every neighbor.
-      std::vector<size_t> pds_base = PossibleDSep(g, x);
-      for (size_t y : adj) {
-        if (!g.HasEdge(x, y) || !static_candidate(x, y)) {
-          continue;
-        }
-        const PdsSweep sweep = BuildPdsSweep(FilterPdsPool(pds_base, y, constraints), options);
-        BatchedCIRequest req;
-        req.x = static_cast<int>(x);
-        req.y = static_cast<int>(y);
-        req.sets = &sweep.sets;
-        req.alpha = alpha;
-        const int idx = test.FirstIndependent(req);
-        if (idx >= 0) {
-          g.RemoveEdge(x, y);
-          sepsets->Set(x, y, sweep.subsets[static_cast<size_t>(idx)]);
-          pds_base = PossibleDSep(g, x);  // graph changed; refresh for later y
-        }
-      }
-    }
-    return;
-  }
-
-  // Parallel phase. Stage A/B run against a snapshot of the phase-entry
-  // graph; the merge then replays the serial order exactly.
-  const MixedGraph g0 = g;
-  std::vector<PdsEdgeGroup> groups;
-  std::vector<int32_t> group_of(n * n, -1);
-  for (size_t a = 0; a < n; ++a) {
-    for (size_t b : g0.Adjacent(a)) {
-      if (b <= a) {
-        continue;
-      }
-      PdsEdgeGroup grp;
-      grp.side[0].x = a;
-      grp.side[0].y = b;
-      grp.side[0].candidate = static_candidate(a, b);
-      grp.side[1].x = b;
-      grp.side[1].y = a;
-      grp.side[1].candidate = static_candidate(b, a);
-      if (!grp.side[0].candidate && !grp.side[1].candidate) {
-        continue;
-      }
-      group_of[a * n + b] = static_cast<int32_t>(groups.size());
-      groups.push_back(std::move(grp));
-    }
-  }
-
-  // Stage A: Possible-D-SEP pools per source node, in parallel against g0.
-  std::vector<char> need_pds(n, 0);
-  for (const PdsEdgeGroup& grp : groups) {
-    for (const PdsSide& side : grp.side) {
-      if (side.candidate) {
-        need_pds[side.x] = 1;
-      }
-    }
-  }
-  std::vector<size_t> sources;
-  for (size_t v = 0; v < n; ++v) {
-    if (need_pds[v] != 0) {
-      sources.push_back(v);
-    }
-  }
-  std::vector<std::vector<size_t>> pds0(n);
-  pool->ParallelFor(sources.size(),
-                    [&](size_t i) { pds0[sources[i]] = PossibleDSep(g0, sources[i]); });
-
-  // Stage B: speculative batched sweeps, one task per remaining edge. The
-  // second side runs only when the first found no independence (the serial
-  // loop would otherwise have removed the edge before its turn) and sees the
-  // first side's would-be cache stores through the overlay.
-  pool->ParallelFor(groups.size(), [&](size_t gi) {
-    TRACE_SPAN("fci.possible_dsep.sweep", "engine");
-    PdsEdgeGroup& grp = groups[gi];
-    PendingPValues overlay;
-    for (int si = 0; si < 2; ++si) {
-      PdsSide& side = grp.side[si];
-      if (!side.candidate) {
-        continue;
-      }
-      side.pool0 = FilterPdsPool(pds0[side.x], side.y, constraints);
-      side.sweep = BuildPdsSweep(side.pool0, options);
-      const BatchedCIRequest req = side.Request(alpha);
-      test.SpeculateFirstIndependent(req, si == 1 ? &overlay : nullptr, &side.spec);
-      side.speculated = true;
-      if (side.spec.first_independent >= 0) {
-        break;
-      }
-      if (si == 0) {
-        test.AppendPendingOverlay(side.spec, req, &overlay);
-      }
-    }
-  });
-
-  // Deterministic merge: walk sides in the exact serial order, adopting a
-  // speculation whenever the pool the serial loop would use still equals the
-  // speculated one, re-sweeping inline otherwise.
-  bool any_removed = false;
   for (size_t x = 0; x < n; ++x) {
-    const auto adj0 = g0.Adjacent(x);
-    bool have_live = false;
-    std::vector<size_t> pds_live;
-    for (size_t y : adj0) {
-      if (!g.HasEdge(x, y)) {
-        continue;  // removed by an earlier turn, exactly as in serial
-      }
-      const size_t a = std::min(x, y);
-      const size_t b = std::max(x, y);
-      const int32_t gi = group_of[a * n + b];
-      if (gi < 0) {
+    const auto adj = g.Adjacent(x);
+    // PossibleDSep depends only on the graph, which changes only on edge
+    // removal: compute it once per x and refresh after removals instead of
+    // re-running the O(n^2) BFS for every neighbor.
+    std::vector<size_t> pds_base = PossibleDSep(g, x);
+    for (size_t y : adj) {
+      if (!g.HasEdge(x, y) || constraints.EdgeRequired(x, y) ||
+          (warm_active && !warm.Dirty(x, y, n))) {
         continue;
       }
-      PdsEdgeGroup& grp = groups[static_cast<size_t>(gi)];
-      PdsSide& side = grp.side[x < y ? 0 : 1];
-      if (!side.candidate) {
-        continue;
-      }
-      bool adopt = side.speculated;
-      if (adopt && x > y && grp.side[0].candidate && !grp.side0_clean_adopt) {
-        // The overlay this side consumed came from a side[0] sweep the
-        // serial order did not reproduce; its hit pattern may be off by a
-        // store, so re-sweep.
-        adopt = false;
-      }
-      if (adopt && any_removed) {
-        if (!have_live) {
-          pds_live = PossibleDSep(g, x);
-          have_live = true;
-        }
-        adopt = FilterPdsPool(pds_live, y, constraints) == side.pool0;
-      }
-      if (adopt) {
-        test.AdoptSpeculation(side.spec, side.Request(alpha));
-        side.resolved = true;
-        if (side.spec.first_independent >= 0) {
-          g.RemoveEdge(x, y);
-          sepsets->Set(x, y,
-                       side.sweep.subsets[static_cast<size_t>(side.spec.first_independent)]);
-          any_removed = true;
-          have_live = false;  // serial refreshes pds(x) after a removal
-        } else if (x < y) {
-          grp.side0_clean_adopt = true;
-        }
-        continue;
-      }
-      // Inputs changed under this side: discard the speculation and re-run
-      // the sweep inline against the live graph, exactly as serial would.
-      if (side.speculated) {
-        test.DiscardSpeculation(side.spec);
-        side.resolved = true;
-      }
-      if (!have_live) {
-        pds_live = PossibleDSep(g, x);
-        have_live = true;
-      }
-      const PdsSweep sweep = BuildPdsSweep(FilterPdsPool(pds_live, y, constraints), options);
+      // Each side's subsets go to the test as one batched FirstIndependent.
+      const PdsSweep sweep = BuildPdsSweep(FilterPdsPool(pds_base, y, constraints), options);
       BatchedCIRequest req;
       req.x = static_cast<int>(x);
       req.y = static_cast<int>(y);
       req.sets = &sweep.sets;
-      req.alpha = alpha;
+      req.alpha = options.skeleton.alpha;
       const int idx = test.FirstIndependent(req);
       if (idx >= 0) {
         g.RemoveEdge(x, y);
         sepsets->Set(x, y, sweep.subsets[static_cast<size_t>(idx)]);
-        any_removed = true;
-        have_live = false;
-      }
-    }
-  }
-  // Speculations the merge never reached (edge removed before its turn, or a
-  // second side skipped because the first removed the edge) advanced the
-  // inner test's counters while sweeping; roll those back.
-  for (PdsEdgeGroup& grp : groups) {
-    for (PdsSide& side : grp.side) {
-      if (side.speculated && !side.resolved) {
-        test.DiscardSpeculation(side.spec);
+        pds_base = PossibleDSep(g, x);  // graph changed; refresh for later y
       }
     }
   }
@@ -643,7 +445,7 @@ FciResult RunFci(const CITest& test, const StructuralConstraints& constraints, s
                  const FciOptions& options, const SkeletonWarmStart& warm, ThreadPool* pool) {
   const long long calls_at_entry = test.calls;
   FciResult result;
-  // One pool serves the skeleton levels and the Possible-D-SEP phase; a
+  // The pool serves the skeleton levels (Possible-D-SEP runs serially); a
   // caller-provided pool always wins.
   std::unique_ptr<ThreadPool> local_pool;
   if (pool == nullptr && options.skeleton.num_threads > 1) {
@@ -664,7 +466,7 @@ FciResult RunFci(const CITest& test, const StructuralConstraints& constraints, s
     // Possible-D-SEP pruning: retest every remaining edge against subsets of
     // pds(x) \ {x, y}; remove on independence.
     const size_t n = num_vars;
-    PossibleDSepPhase(test, constraints, num_vars, options, warm, pool, &g, &result.sepsets);
+    PossibleDSepPhase(test, constraints, num_vars, options, warm, &g, &result.sepsets);
     // Reset remaining edges to circle-circle and re-orient with the final
     // adjacency structure.
     for (size_t a = 0; a < n; ++a) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <utility>
 
 #include "util/binio.h"
 #include "util/hash.h"
@@ -96,20 +95,6 @@ void CICache::DropAll(Stripe* stripe) {
   }
 }
 
-std::optional<CICache::Hit> CICache::LookupQuiet(const Key& key, uint32_t shard) const {
-  const uint64_t h = Hash(key);
-  const Stripe& stripe = StripeFor(h);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  if (stripe.slots.empty()) {
-    return std::nullopt;
-  }
-  const Slot& slot = stripe.slots[Find(stripe, key, h)];
-  if (slot.generation != stripe.generation) {
-    return std::nullopt;
-  }
-  return Hit{slot.p_value, slot.shard != shard};
-}
-
 std::optional<CICache::Hit> CICache::LookupFrom(const Key& key, uint32_t shard) {
   const uint64_t h = Hash(key);
   Stripe& stripe = StripeFor(h);
@@ -155,14 +140,6 @@ void CICache::Store(const Key& key, double p_value, uint32_t shard) {
   slot.shard = shard;
   slot.generation = stripe.generation;
   ++stripe.live;
-}
-
-void CICache::AddCounterSamples(long long lookups, long long hits, long long cross_shard) {
-  Stripe& stripe = stripes_[0];
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  stripe.lookups += lookups;
-  stripe.hits += hits;
-  stripe.cross_shard_hits += cross_shard;
 }
 
 long long CICache::Sum(long long Stripe::*counter) const {
@@ -350,99 +327,6 @@ int CachedCITest::FirstIndependent(const BatchedCIRequest& req, double* p_out) c
     }
   }
   return -1;
-}
-
-void CachedCITest::SpeculateFirstIndependent(const BatchedCIRequest& req,
-                                             const PendingPValues* overlay,
-                                             CISpeculation* out) const {
-  if (cache_ == nullptr) {
-    // No cache: delegate to the inner test's speculation (its counter
-    // advances during evaluation and rolls back on discard); this
-    // decorator's own counter advances only on adoption.
-    inner_.SpeculateFirstIndependent(req, nullptr, out);
-    return;
-  }
-  *out = CISpeculation{};  // a reused speculation must not accumulate
-  const auto& sets = *req.sets;
-  for (size_t i = 0; i < sets.size(); ++i) {
-    ++out->examined;
-    const std::vector<int>& s = sets[i];
-    double p = 0.0;
-    if (!CICache::Cacheable(s)) {
-      p = inner_.PValue(req.x, req.y, s);
-      ++out->inner_evals;
-    } else {
-      ++out->lookups;
-      bool found = false;
-      if (overlay != nullptr && !overlay->empty()) {
-        // The prior sweep of this pair's other side stored these; a serial
-        // run would find them in the cache.
-        std::vector<int> sorted = s;
-        std::sort(sorted.begin(), sorted.end());
-        const auto it = overlay->find(sorted);
-        if (it != overlay->end()) {
-          p = it->second;
-          found = true;
-          ++out->hits;
-        }
-      }
-      if (!found) {
-        const CICache::Key key = CICache::MakeKey(req.x, req.y, s, n_rows_, table_tag_);
-        if (const auto cached = cache_->LookupQuiet(key, shard_)) {
-          p = cached->p_value;
-          found = true;
-          ++out->hits;
-          if (cached->cross_shard) {
-            ++out->cross_shard_hits;
-          }
-        }
-      }
-      if (!found) {
-        p = inner_.PValue(req.x, req.y, s);
-        ++out->inner_evals;
-        out->stores.emplace_back(i, p);
-      }
-    }
-    if (p >= req.alpha) {
-      out->first_independent = static_cast<int>(i);
-      out->p = p;
-      return;
-    }
-  }
-}
-
-void CachedCITest::AdoptSpeculation(const CISpeculation& spec, const BatchedCIRequest& req) const {
-  calls += spec.examined;
-  if (cache_ == nullptr) {
-    return;  // the inner test already carries its evaluation counts
-  }
-  hits_ += spec.hits;
-  cross_shard_hits_ += spec.cross_shard_hits;
-  cache_->AddCounterSamples(spec.lookups, spec.hits, spec.cross_shard_hits);
-  for (const auto& [index, p] : spec.stores) {
-    const CICache::Key key =
-        CICache::MakeKey(req.x, req.y, (*req.sets)[index], n_rows_, table_tag_);
-    cache_->Store(key, p, shard_);
-  }
-}
-
-void CachedCITest::DiscardSpeculation(const CISpeculation& spec) const {
-  // Roll back the inner evaluations' counter advances; the memoized
-  // intermediate state they warmed (coded columns, correlations) is
-  // value-deterministic, so leaving it warm cannot change any later result.
-  inner_.DiscardSpeculation(spec);
-}
-
-void CachedCITest::AppendPendingOverlay(const CISpeculation& spec, const BatchedCIRequest& req,
-                                        PendingPValues* overlay) const {
-  if (cache_ == nullptr) {
-    return;  // uncached: no cross-sweep visibility to model
-  }
-  for (const auto& [index, p] : spec.stores) {
-    std::vector<int> s = (*req.sets)[index];
-    std::sort(s.begin(), s.end());
-    (*overlay)[std::move(s)] = p;
-  }
 }
 
 }  // namespace unicorn

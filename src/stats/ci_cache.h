@@ -24,11 +24,10 @@
 // so eight sweep threads spread over the stripes rarely wait on each other.
 //
 // Direct stores keep hit accounting deterministic without any publish
-// barrier: a search phase only ever looks up keys of the pair it is
-// examining, both sides of a pair are examined on one thread, and the
-// possible-d-sep merge that replays speculative stores runs serially after
-// its sweeps finish. So whether a lookup hits never depends on how worker
-// threads interleave.
+// barrier: a parallel skeleton level only ever looks up keys of the pair it
+// is examining, both sides of a pair are examined on one thread, and the
+// possible-d-sep phase runs serially. So whether a lookup hits never depends
+// on how worker threads interleave.
 //
 // Every entry remembers which shard stored it so cross-shard hits ("how many
 // tests did the shared cache buy?") are accounted separately from
@@ -106,17 +105,10 @@ class CICache {
   // Shard-attributed lookup: counts a cross-shard hit when the entry was
   // stored by a shard other than `shard`.
   std::optional<Hit> LookupFrom(const Key& key, uint32_t shard);
-  // Same probe, but touches no counters — the speculative possible-d-sep
-  // sweeps use it and replay the counter deltas only if the speculation is
-  // adopted.
-  std::optional<Hit> LookupQuiet(const Key& key, uint32_t shard) const;
   // Inserts unless the key is present (the test is deterministic, so a
   // second store carries the same value; the first store keeps the shard
   // attribution).
   void Store(const Key& key, double p_value, uint32_t shard = 0);
-  // Replays the counter deltas of an adopted speculative sweep (which probed
-  // via LookupQuiet so discarded sweeps leave no trace in the totals).
-  void AddCounterSamples(long long lookups, long long hits, long long cross_shard);
 
   long long hits() const;
   long long lookups() const;
@@ -201,16 +193,6 @@ class CachedCITest : public CITest {
   // Batched: one cache-key template per level; per-set semantics (lookup,
   // store, counters, early exit) identical to per-set PValue calls.
   int FirstIndependent(const BatchedCIRequest& req, double* p_out = nullptr) const override;
-
-  // Speculative sweep protocol (see CITest): probes via LookupQuiet and
-  // records stores/counter deltas in the speculation; adoption replays them
-  // onto this decorator and the cache.
-  void SpeculateFirstIndependent(const BatchedCIRequest& req, const PendingPValues* overlay,
-                                 CISpeculation* out) const override;
-  void AdoptSpeculation(const CISpeculation& spec, const BatchedCIRequest& req) const override;
-  void DiscardSpeculation(const CISpeculation& spec) const override;
-  void AppendPendingOverlay(const CISpeculation& spec, const BatchedCIRequest& req,
-                            PendingPValues* overlay) const override;
 
   const CITest& inner() const { return inner_; }
   long long hits() const { return hits_.load(); }

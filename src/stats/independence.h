@@ -61,32 +61,6 @@ struct BatchedCIRequest {
   double alpha = 0.05;
 };
 
-// Sorted-conditioning-set -> p-value overlay used when two speculative sweeps
-// of the *same* pair run back to back in one worker task: the second sweep
-// must see the first sweep's pending cache stores to reproduce the serial
-// hit accounting. Only ever spans one (x, y) pair on one table snapshot, so
-// the conditioning set alone identifies the entry.
-using PendingPValues = std::map<std::vector<int>, double>;
-
-// Result of a speculative FirstIndependent sweep (see
-// CITest::SpeculateFirstIndependent): everything the sweep *would* have done
-// to observable state, recorded instead of applied. A deterministic merge
-// thread later replays it (AdoptSpeculation) when the sweep's inputs were
-// validated against the live search state, or rolls back the side effects
-// that could not be deferred (DiscardSpeculation) — inner evaluations mutate
-// shared memoized state and counters as they run.
-struct CISpeculation {
-  int first_independent = -1;  // index of the first independent set, or -1
-  double p = 0.0;              // its p-value (valid when first_independent >= 0)
-  long long examined = 0;      // sets visited, early exit included
-  long long inner_evals = 0;   // PValue evaluations actually performed
-  long long lookups = 0;       // cache probes issued (cacheable sets only)
-  long long hits = 0;          // probes served from cache / overlay
-  long long cross_shard_hits = 0;
-  // Pending cache stores: (index into req.sets, p-value). Applied on adopt.
-  std::vector<std::pair<size_t, double>> stores;
-};
-
 // Interface: p-value of the null hypothesis X ⊥ Y | S.
 class CITest {
  public:
@@ -106,29 +80,6 @@ class CITest {
   // examined set — overrides may only amortize setup work, never change
   // which tests run.
   virtual int FirstIndependent(const BatchedCIRequest& req, double* p_out = nullptr) const;
-
-  // Speculative form of FirstIndependent for parallel search phases that
-  // must stay bit-identical to their serial loop. The sweep runs on a worker
-  // against a *snapshot* of the search state; instead of touching observable
-  // counters or the CI cache it records what it did into *out. A merge
-  // thread walking pairs in serial order then either adopts the speculation
-  // (replaying counters and pending stores — valid only when the request it
-  // validated equals the one speculated) or discards it (rolling back the
-  // inner evaluations' counter advances; memoized intermediate state such as
-  // coded columns or correlations may stay warm, it is value-deterministic).
-  // The base implementation evaluates every set via PValue — advancing
-  // `calls` as it goes — so adoption is a no-op and discard subtracts
-  // `inner_evals`. Cached overrides defer everything.
-  virtual void SpeculateFirstIndependent(const BatchedCIRequest& req,
-                                         const PendingPValues* overlay,
-                                         CISpeculation* out) const;
-  virtual void AdoptSpeculation(const CISpeculation& spec, const BatchedCIRequest& req) const;
-  virtual void DiscardSpeculation(const CISpeculation& spec) const;
-  // Adds spec's pending stores to *overlay so a second sweep of the same
-  // pair (other side) sees them exactly as a serial run would through the
-  // cache. No-op for uncached tests, which have no cross-sweep visibility.
-  virtual void AppendPendingOverlay(const CISpeculation& spec, const BatchedCIRequest& req,
-                                    PendingPValues* overlay) const;
 
   // Number of tests issued so far (for scalability reporting). All discovery
   // code derives its test counts from this counter — never by hand — so the

@@ -27,8 +27,12 @@ SimulatedDeviceBackend::SimulatedDeviceBackend(PerformanceTask task, DeviceProfi
 MeasureOutcome SimulatedDeviceBackend::Measure(const std::vector<double>& config, int attempt) {
   // One deterministic stream per (device, config, attempt): thread
   // interleaving cannot change which attempts fail or how long they take.
+  // The seed is mixed before the attempt is folded in; `seed ^ attempt`
+  // alone would give devices whose seeds differ only in the low bits each
+  // other's streams (seed 1000 at attempt 3 == seed 1002 at attempt 1), so a
+  // retry rerouted to the other device would replay the failure.
   const uint64_t stream =
-      HashDoubles(config, Mix64(profile_.seed ^ static_cast<uint64_t>(attempt)));
+      HashDoubles(config, Mix64(Mix64(profile_.seed) ^ static_cast<uint64_t>(attempt)));
 
   const double jitter_draw = 2.0 * UnitDraw(stream) - 1.0;  // [-1, 1)
   const double service_seconds = std::max(

@@ -2,13 +2,18 @@
 // serial row-for-row at 1..4 backends (with and without injected transient
 // failures), retries reroute and converge, permanent failures circuit-break
 // without losing queued requests, and recorded replay round-trips through
-// the persisted measurement table.
+// the persisted measurement table. Assertions on retry and failure counts
+// are exact and independent of how the fleet's worker threads interleave.
 #include "unicorn/backend/backend_fleet.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
 #include <string>
+#include <utility>
 
 #include "eval/harness.h"
 #include "sysmodel/systems.h"
@@ -44,9 +49,13 @@ std::vector<std::vector<double>> SampleBatch(const PerformanceTask& task, size_t
   return configs;
 }
 
+constexpr uint64_t kFleetDeviceSeed = 1000;
+
 // A fleet of `n` homogeneous simulated devices: same model, same
 // environment, same task seed — rows are identical wherever a request
-// lands, which is exactly what the bit-identity guarantee needs.
+// lands, which is exactly what the bit-identity guarantee needs. They also
+// share one profile seed, so a request's failure and service-time draws
+// depend only on (config, attempt), never on which device routing picked.
 std::unique_ptr<BackendFleet> MakeDeviceFleet(const Scenario& s, uint64_t task_seed, int n,
                                               double transient_rate, double permanent_rate,
                                               FleetOptions options = {}) {
@@ -54,13 +63,29 @@ std::unique_ptr<BackendFleet> MakeDeviceFleet(const Scenario& s, uint64_t task_s
   for (int b = 0; b < n; ++b) {
     DeviceProfile profile;
     profile.name = "jetson-" + std::to_string(b);
-    profile.seed = 1000 + static_cast<uint64_t>(b);
+    profile.seed = kFleetDeviceSeed;
     profile.transient_failure_rate = transient_rate;
     profile.permanent_failure_rate = permanent_rate;
     backends.push_back(
         MakeDeviceBackend(s.model, Tx2(), DefaultWorkload(), task_seed, std::move(profile)));
   }
   return std::make_unique<BackendFleet>(std::move(backends), options);
+}
+
+// Every draw a fresh device with `profile` makes for `configs` at a fixed
+// attempt: the outcome status and the simulated service time of each
+// measurement.
+std::vector<std::pair<MeasureStatus, double>> DrawSequence(
+    const PerformanceTask& task, const DeviceProfile& profile,
+    const std::vector<std::vector<double>>& configs, int attempt) {
+  SimulatedDeviceBackend device(task, profile);
+  std::vector<std::pair<MeasureStatus, double>> draws;
+  for (const auto& config : configs) {
+    const double busy_before = device.simulated_busy_seconds();
+    const MeasureStatus status = device.Measure(config, attempt).status;
+    draws.emplace_back(status, device.simulated_busy_seconds() - busy_before);
+  }
+  return draws;
 }
 
 TEST(BackendFleetTest, DeviceFailureInjectionIsDeterministic) {
@@ -78,6 +103,41 @@ TEST(BackendFleetTest, DeviceFailureInjectionIsDeterministic) {
       const MeasureOutcome second = b.Measure(config, attempt);
       EXPECT_EQ(first.status, second.status);
       EXPECT_EQ(first.row, second.row);
+    }
+  }
+}
+
+// Devices whose profile seeds differ only in their low bits must still draw
+// independently. Folding the attempt straight into the seed (`seed ^
+// attempt`) would make seed 1000 at attempt 3 replay seed 1002 at attempt
+// 1, so a retry rerouted to the other device could hit the very failure it
+// was retrying.
+TEST(BackendFleetTest, DeviceDrawsAreIndependentAcrossSeedsAndAttempts) {
+  const Scenario s = MakeScenario(15);
+  const auto configs = SampleBatch(s.task, 200, 16);
+  std::vector<std::vector<std::pair<MeasureStatus, double>>> sequences;
+  std::vector<std::string> labels;
+  for (uint64_t seed = 1000; seed < 1004; ++seed) {
+    DeviceProfile profile;
+    profile.seed = seed;
+    profile.service_time_mean = 1.0;
+    profile.service_time_jitter = 0.5;
+    profile.transient_failure_rate = 0.4;
+    for (int attempt = 1; attempt <= 6; ++attempt) {
+      sequences.push_back(DrawSequence(s.task, profile, configs, attempt));
+      labels.push_back("seed " + std::to_string(seed) + " attempt " + std::to_string(attempt));
+    }
+  }
+  for (size_t i = 0; i < sequences.size(); ++i) {
+    for (size_t j = i + 1; j < sequences.size(); ++j) {
+      size_t same_status = 0;
+      size_t same_service = 0;
+      for (size_t c = 0; c < configs.size(); ++c) {
+        same_status += sequences[i][c].first == sequences[j][c].first ? 1 : 0;
+        same_service += sequences[i][c].second == sequences[j][c].second ? 1 : 0;
+      }
+      EXPECT_LT(same_status, configs.size()) << labels[i] << " vs " << labels[j];
+      EXPECT_LT(same_service, configs.size()) << labels[i] << " vs " << labels[j];
     }
   }
 }
@@ -123,20 +183,36 @@ TEST(BackendFleetTest, TransientFailuresRetryRerouteAndStillConverge) {
   MeasurementBroker serial(s.task);
   const auto reference = serial.MeasureBatch(configs);
 
+  // A 30% transient rate across every device. The devices share one profile
+  // seed, so each request fails on the same attempts wherever it is routed:
+  // one standalone device predicts the fleet's exact retry count, and proves
+  // that every request succeeds within max_attempts.
+  FleetOptions options;
+  options.max_attempts = 6;
+  DeviceProfile profile;
+  profile.seed = kFleetDeviceSeed;
+  profile.transient_failure_rate = 0.3;
+  const auto standalone = MakeDeviceBackend(s.model, Tx2(), DefaultWorkload(), 41, profile);
+  size_t expected_retries = 0;
+  for (const auto& config : configs) {
+    int attempt = 1;
+    while (standalone->Measure(config, attempt).status != MeasureStatus::kOk) {
+      ASSERT_LT(attempt, options.max_attempts) << "a request would exhaust its retries";
+      ++attempt;
+    }
+    expected_retries += static_cast<size_t>(attempt - 1);
+  }
+  ASSERT_GT(expected_retries, 0u);  // ~30% of attempts fail: retries must show up
+
   for (int n : {2, 4}) {
-    // A 30% transient rate across every device: with max_attempts=6 the
-    // chance any of 60 requests exhausts its retries is ~60 * 0.3^6 < 5%,
-    // and the seeded draws make the outcome reproducible, not flaky.
-    FleetOptions options;
-    options.max_attempts = 6;
     MeasurementBroker broker(s.task, MakeDeviceFleet(s, 41, n, 0.3, 0.0, options));
     EXPECT_EQ(broker.MeasureBatch(configs), reference) << "backends=" << n;
 
     const FleetStats stats = broker.fleet_stats();
     EXPECT_EQ(stats.completed, configs.size());
     EXPECT_EQ(stats.failed, 0u);
-    EXPECT_GT(stats.retries, 0u);    // ~30% of attempts fail: retries must show up
-    EXPECT_GT(stats.rerouted, 0u);   // the excluded-backend set sends them elsewhere
+    EXPECT_EQ(stats.retries, expected_retries) << "backends=" << n;
+    EXPECT_GT(stats.rerouted, 0u);  // the excluded-backend set sends them elsewhere
     EXPECT_EQ(broker.stats().failures, 0u);
     size_t transient_total = 0;
     for (const auto& backend : stats.backends) {
@@ -149,6 +225,61 @@ TEST(BackendFleetTest, TransientFailuresRetryRerouteAndStillConverge) {
   }
 }
 
+// Opens once `count` permanent failures were reported. Waits are bounded so
+// a broken fleet fails the test instead of hanging it.
+class FailureLatch {
+ public:
+  explicit FailureLatch(int count) : remaining_(count) {}
+
+  void CountDown() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (remaining_ > 0 && --remaining_ == 0) {
+      open_.notify_all();
+    }
+  }
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!open_.wait_for(lock, std::chrono::seconds(30), [&] { return remaining_ == 0; })) {
+      timed_out_ = true;
+    }
+  }
+  bool timed_out() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return timed_out_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable open_;
+  int remaining_;
+  bool timed_out_ = false;
+};
+
+// Wraps a backend: a healthy one waits on the latch before measuring, a
+// failing one counts the latch down on every permanent failure.
+class LatchedBackend : public MeasurementBackend {
+ public:
+  LatchedBackend(std::unique_ptr<MeasurementBackend> inner, FailureLatch* latch, bool healthy)
+      : inner_(std::move(inner)), latch_(latch), healthy_(healthy) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  MeasureOutcome Measure(const std::vector<double>& config, int attempt) override {
+    if (healthy_) {
+      latch_->Wait();
+    }
+    MeasureOutcome outcome = inner_->Measure(config, attempt);
+    if (outcome.status == MeasureStatus::kPermanent) {
+      latch_->CountDown();
+    }
+    return outcome;
+  }
+
+ private:
+  std::unique_ptr<MeasurementBackend> inner_;
+  FailureLatch* latch_;
+  bool healthy_;
+};
+
 TEST(BackendFleetTest, PermanentFailuresCircuitBreakWithoutLosingRequests) {
   const Scenario s = MakeScenario(51);
   const auto configs = SampleBatch(s.task, 40, 52);
@@ -157,15 +288,20 @@ TEST(BackendFleetTest, PermanentFailuresCircuitBreakWithoutLosingRequests) {
 
   // Backend 0 permanently fails every attempt; 1 and 2 are healthy. A small
   // queue bound forces requests to pile up behind the sick backend so the
-  // break actually migrates queued work.
+  // break actually migrates queued work. The healthy backends hold their
+  // first measurement until backend 0 has failed twice, so least-loaded
+  // routing must hand backend 0 a second request however the workers are
+  // scheduled.
+  FailureLatch latch(2);
   std::vector<std::unique_ptr<MeasurementBackend>> backends;
   for (int b = 0; b < 3; ++b) {
     DeviceProfile profile;
     profile.name = "jetson-" + std::to_string(b);
     profile.seed = 2000 + static_cast<uint64_t>(b);
     profile.permanent_failure_rate = b == 0 ? 1.0 : 0.0;
-    backends.push_back(
-        MakeDeviceBackend(s.model, Tx2(), DefaultWorkload(), 51, std::move(profile)));
+    backends.push_back(std::make_unique<LatchedBackend>(
+        MakeDeviceBackend(s.model, Tx2(), DefaultWorkload(), 51, std::move(profile)), &latch,
+        /*healthy=*/b != 0));
   }
   FleetOptions options;
   options.circuit_break_after = 2;
@@ -173,6 +309,7 @@ TEST(BackendFleetTest, PermanentFailuresCircuitBreakWithoutLosingRequests) {
   MeasurementBroker broker(s.task, std::make_unique<BackendFleet>(std::move(backends), options));
 
   EXPECT_EQ(broker.MeasureBatch(configs), reference);
+  EXPECT_FALSE(latch.timed_out());
 
   const FleetStats stats = broker.fleet_stats();
   EXPECT_EQ(stats.completed, configs.size());  // nothing lost
