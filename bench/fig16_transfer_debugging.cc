@@ -56,7 +56,7 @@ BENCHMARK(BM_WarmStartDebug)->Iterations(1);
 
 // Builds the per-fault heterogeneous fleet: the source recording + two live
 // TX2 devices. `task_seed` must match the target task so fleet rows equal
-// what a pool-mode broker would have measured.
+// what the target task itself measures.
 std::unique_ptr<BackendFleet> MakeTransferFleet(
     const std::shared_ptr<SystemModel>& model, const MeasurementTable& source_table,
     uint64_t task_seed) {

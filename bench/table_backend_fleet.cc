@@ -4,7 +4,7 @@
 // Four sections:
 //   (a) 1 vs N devices — wall-clock scaling of one batch over a fleet whose
 //       members really sleep their service time, with a bit-identity check
-//       against the serial single-broker rows;
+//       against direct serial task.measure rows;
 //   (b) transient-failure sweep — retry/reroute accounting as the injected
 //       failure rate rises, rows still bit-identical;
 //   (c) circuit breaking — a permanently failing device is retired and its
@@ -38,7 +38,7 @@ struct Setup {
   std::shared_ptr<SystemModel> model;
   PerformanceTask task;
   std::vector<std::vector<double>> configs;
-  std::vector<std::vector<double>> reference;  // serial single-broker rows
+  std::vector<std::vector<double>> reference;  // direct serial task.measure rows
 };
 
 constexpr uint64_t kTaskSeed = 920;
@@ -52,9 +52,8 @@ Setup MakeSetup(size_t batch_size) {
   Rng rng(921);
   for (size_t i = 0; i < batch_size; ++i) {
     s.configs.push_back(s.task.sample_config(&rng));
+    s.reference.push_back(s.task.measure(s.configs.back()));
   }
-  MeasurementBroker serial(s.task);
-  s.reference = serial.MeasureBatch(s.configs);
   return s;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "obs/trace.h"
 #include "util/thread_pool.h"
@@ -445,13 +444,7 @@ FciResult RunFci(const CITest& test, const StructuralConstraints& constraints, s
                  const FciOptions& options, const SkeletonWarmStart& warm, ThreadPool* pool) {
   const long long calls_at_entry = test.calls;
   FciResult result;
-  // The pool serves the skeleton levels (Possible-D-SEP runs serially); a
-  // caller-provided pool always wins.
-  std::unique_ptr<ThreadPool> local_pool;
-  if (pool == nullptr && options.skeleton.num_threads > 1) {
-    local_pool = std::make_unique<ThreadPool>(options.skeleton.num_threads);
-    pool = local_pool.get();
-  }
+  // The pool serves the skeleton levels (Possible-D-SEP runs serially).
   obs::trace::Begin("fci.skeleton", "engine");
   SkeletonResult skel = LearnSkeleton(test, constraints, num_vars, options.skeleton, warm, pool);
   obs::trace::End("tests", static_cast<double>(skel.tests_performed));

@@ -1,7 +1,6 @@
 #include "causal/skeleton.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "obs/trace.h"
 
@@ -175,12 +174,6 @@ SkeletonResult LearnSkeleton(const CITest& test, const StructuralConstraints& co
       }
       g.AddCircleCircle(a, b);
     }
-  }
-
-  std::unique_ptr<ThreadPool> local_pool;
-  if (pool == nullptr && options.num_threads > 1) {
-    local_pool = std::make_unique<ThreadPool>(options.num_threads);
-    pool = local_pool.get();
   }
 
   for (int d = 0; d <= options.max_cond_size; ++d) {

@@ -56,7 +56,6 @@ struct SkeletonOptions {
   double alpha = 0.05;      // independence-test significance level
   int max_cond_size = 3;    // largest conditioning set tried
   size_t max_subsets = 64;  // cap on subsets tested per (pair, size)
-  int num_threads = 1;      // workers for the per-level edge sweep
 };
 
 // Warm-start state from the engine's previous model refresh. All three
@@ -88,7 +87,7 @@ struct SkeletonResult {
   long long tests_performed = 0;
 };
 
-// `pool` may be null; with options.num_threads > 1 a local pool is created.
+// `pool` runs the per-level edge sweep; null sweeps serially.
 SkeletonResult LearnSkeleton(const CITest& test, const StructuralConstraints& constraints,
                              size_t num_vars, const SkeletonOptions& options = {},
                              const SkeletonWarmStart& warm = {}, ThreadPool* pool = nullptr);

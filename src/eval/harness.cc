@@ -13,9 +13,9 @@ PerformanceTask MakeSimulatedTask(std::shared_ptr<const SystemModel> model, Envi
   task.option_vars = model->OptionIndices();
   // Each call derives its noise stream from (seed, config hash), so
   // measuring is a pure function of the configuration: safe to fan out on
-  // broker pool threads, and the measured row is independent of call order.
-  // The previous shared-RNG capture was a data race the moment measurements
-  // ran on pool threads, and made results depend on call interleaving even
+  // fleet workers, and the measured row is independent of call order. The
+  // previous shared-RNG capture was a data race the moment measurements ran
+  // on several threads, and made results depend on call interleaving even
   // serially.
   task.measure = [model, env, workload, seed](const std::vector<double>& config) {
     Rng call_rng(HashDoubles(config, seed));

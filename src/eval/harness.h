@@ -18,8 +18,7 @@ namespace unicorn {
 // Builds a PerformanceTask backed by the simulator. Measurement noise is a
 // pure function of (seed, configuration): repeat measurements of one config
 // return the identical row (the simulator already medians over replicates),
-// and measure() is safe to call concurrently from measurement-broker pool
-// threads.
+// and measure() is safe to call concurrently from measurement fleet workers.
 PerformanceTask MakeSimulatedTask(std::shared_ptr<const SystemModel> model, Environment env,
                                   Workload workload, uint64_t seed);
 

@@ -102,7 +102,7 @@ class SystemModel {
   // Simulates one measurement of `config` (option order as OptionIndices()).
   // Follows the paper's protocol: `replicates` noisy runs, per-variable
   // median reported. Const and free of shared mutable state: safe to call
-  // concurrently from measurement-broker pool threads as long as each caller
+  // concurrently from measurement fleet workers as long as each caller
   // passes its own Rng.
   Measurement Measure(const std::vector<double>& config, const Environment& env,
                       const Workload& workload, Rng* rng, int replicates = 5) const;

@@ -1,5 +1,5 @@
-// The trivial backend: PerformanceTask::measure in this process — exactly
-// what the flat thread-pool broker did, behind the fleet interface.
+// The trivial backend: PerformanceTask::measure in this process, behind the
+// fleet interface. A broker built from a task alone measures on one of these.
 #ifndef UNICORN_UNICORN_BACKEND_IN_PROCESS_BACKEND_H_
 #define UNICORN_UNICORN_BACKEND_IN_PROCESS_BACKEND_H_
 

@@ -34,7 +34,7 @@ struct MeasurementTable {
     std::vector<double> config;  ///< option values, in option order
     std::vector<double> row;     ///< the full variable row (options echoed)
     /// Environment label of the backend that measured the row; empty when
-    /// unknown (v1 files, pool-mode brokers with untagged requests).
+    /// unknown (v1 files, untagged broker requests).
     std::string provenance;
   };
 

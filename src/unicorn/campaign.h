@@ -242,15 +242,15 @@ struct CampaignOptions {
 /// MeasurementBroker) of a campaign, and drives its policies' rounds to
 /// completion.
 /// Thread-safety: a runner is driven by one thread; concurrency lives below
-/// it (broker pool threads, fleet workers, parallel shard refreshes), never
-/// in the runner itself.
+/// it (fleet workers, parallel shard refreshes), never in the runner itself.
 class CampaignRunner {
  public:
+  /// Measures on a fleet of one in-process backend running task.measure on
+  /// CampaignOptions::broker.num_threads workers.
   CampaignRunner(PerformanceTask task, CampaignOptions options = {});
-  /// Fleet-backed campaign: measurements dispatch through `fleet`
-  /// (per-backend queues, retries, circuit breaking) instead of the flat
-  /// thread pool. `task` still provides variable metadata and must match
-  /// what the backends measure.
+  /// Measurements dispatch through `fleet` (per-backend queues, retries,
+  /// circuit breaking). `task` still provides variable metadata and must
+  /// match what the backends measure.
   CampaignRunner(PerformanceTask task, CampaignOptions options,
                  std::unique_ptr<BackendFleet> fleet);
 
@@ -283,14 +283,14 @@ class CampaignRunner {
   /// proposes again while a slow policy's measurements are still in flight
   /// on the fleet — no per-round barrier across policies. Round counters,
   /// refresh seeds, and the propose/absorb contract are per policy and
-  /// unchanged; with a single policy (any broker mode, homogeneous
-  /// backends) this is bit-identical to Run, and policies in distinct
-  /// objective groups are bit-identical to their RunGrouped selves for any
+  /// unchanged; with a single policy (homogeneous backends) this is
+  /// bit-identical to Run, and policies in distinct objective groups are
+  /// bit-identical to their RunGrouped selves for any
   /// CampaignOptions::pipeline / refresh_threads setting. With several
   /// policies sharing a group, the interleaving of that shard's refreshes
-  /// follows measurement completion order, which on a real fleet is
-  /// timing-dependent — results stay valid but are not run-to-run
-  /// deterministic.
+  /// follows measurement completion order, which on a fleet with more than
+  /// one worker is timing-dependent — results stay valid but are not
+  /// run-to-run deterministic.
   ///
   /// With CampaignOptions::pipeline (the default) this runs the pipelined
   /// campaign scheduler: completions stream in and are absorbed the moment

@@ -2,20 +2,17 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "unicorn/backend/in_process_backend.h"
 
 namespace unicorn {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-// Marks a request already resolved from the cross-batch cache.
-constexpr size_t kResolved = std::numeric_limits<size_t>::max();
 
 // Process-wide broker instruments, resolved once (registry lookup locks).
 // All broker instances share them: the registry is the fleet-wide view, the
@@ -42,14 +39,16 @@ const BrokerMetrics& Metrics() {
   return metrics;
 }
 
+std::unique_ptr<BackendFleet> InProcessFleet(const PerformanceTask& task, int num_threads) {
+  std::vector<std::unique_ptr<MeasurementBackend>> backends;
+  backends.push_back(std::make_unique<InProcessBackend>(task, "in-process", num_threads));
+  return std::make_unique<BackendFleet>(std::move(backends));
+}
+
 }  // namespace
 
 MeasurementBroker::MeasurementBroker(PerformanceTask task, BrokerOptions options)
-    : task_(std::move(task)), options_(options) {
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-}
+    : MeasurementBroker(task, InProcessFleet(task, options.num_threads), options) {}
 
 MeasurementBroker::MeasurementBroker(PerformanceTask task, std::unique_ptr<BackendFleet> fleet,
                                      BrokerOptions options)
@@ -87,93 +86,14 @@ void MeasurementBroker::InsertCache(const std::vector<double>& config,
   }
 }
 
-std::vector<std::vector<double>> MeasurementBroker::MeasureBatchOnPool(
-    const std::vector<std::vector<double>>& configs,
-    const std::vector<std::string>& environments) {
-  ++stats_.batches;
-  stats_.requests += configs.size();
-  stats_.largest_batch = std::max(stats_.largest_batch, configs.size());
-  Metrics().batches->Increment();
-  Metrics().requests->Add(configs.size());
-  Metrics().batch_size->Record(static_cast<double>(configs.size()));
-
-  // Resolve every request to either a cached row or a slot in the unique
-  // work list; duplicates within the batch share one slot.
-  std::vector<std::vector<double>> out(configs.size());
-  std::vector<size_t> unique_of(configs.size(), kResolved);
-  std::vector<size_t> unique;  // request index of each unique work item
-  std::unordered_map<EnvConfig, size_t, EnvConfigHash> pending;
-  for (size_t i = 0; i < configs.size(); ++i) {
-    if (!options_.dedup_cache) {
-      unique_of[i] = unique.size();
-      unique.push_back(i);
-      continue;
-    }
-    const std::string& env = EnvOf(environments, i);
-    if (const std::vector<double>* row = CachedRow(configs[i], env)) {
-      out[i] = *row;
-      ++stats_.cache_hits;
-      continue;
-    }
-    const auto [it, inserted] = pending.emplace(EnvConfig{env, configs[i]}, unique.size());
-    if (inserted) {
-      unique.push_back(i);
-    } else {
-      ++stats_.cache_hits;  // within-batch duplicate: measured once
-    }
-    unique_of[i] = it->second;
-  }
-
-  // Fan out. Rows land in unique order, so request order (and thus the rows
-  // the caller sees) is independent of thread interleaving. Per-item timing
-  // lands in its own slot: busy time sums exactly once per measurement.
-  std::vector<double> item_seconds(unique.size(), 0.0);
-  obs::trace::Span span("broker.batch", "broker");
-  span.SetArg("requests", static_cast<double>(configs.size()));
-  span.SetArg("measured", static_cast<double>(unique.size()));
-  const auto start = Clock::now();
-  const auto rows = ParallelMap(pool_.get(), unique.size(), [&](size_t u) {
-    const auto item_start = Clock::now();
-    auto row = task_.measure(configs[unique[u]]);
-    item_seconds[u] = std::chrono::duration<double>(Clock::now() - item_start).count();
-    return row;
-  });
-  const double fan_out_wall = std::chrono::duration<double>(Clock::now() - start).count();
-  stats_.batch_wall_seconds += fan_out_wall;
-  // Pool mode measures synchronously, so the fan-out wall IS the time work
-  // was outstanding (see BrokerStats::active_wall_seconds).
-  stats_.active_wall_seconds += fan_out_wall;
-  for (double seconds : item_seconds) {
-    stats_.busy_seconds += seconds;
-  }
-  stats_.measured += unique.size();
-  Metrics().measured->Add(unique.size());
-  Metrics().cache_hits->Add(configs.size() - unique.size());
-
-  for (size_t i = 0; i < configs.size(); ++i) {
-    if (unique_of[i] != kResolved) {
-      out[i] = rows[unique_of[i]];
-    }
-  }
-  if (options_.dedup_cache) {
-    for (size_t u = 0; u < unique.size(); ++u) {
-      InsertCache(configs[unique[u]], EnvOf(environments, unique[u]), rows[u]);
-    }
-  }
-  return out;
-}
-
 std::vector<std::vector<double>> MeasurementBroker::MeasureBatch(
     const std::vector<std::vector<double>>& configs,
     const std::vector<std::string>& environments) {
   if (!environments.empty() && environments.size() != configs.size()) {
     throw std::invalid_argument("MeasureBatch: environments must be empty or match configs");
   }
-  if (!fleet_) {
-    return MeasureBatchOnPool(configs, environments);
-  }
 
-  // Fleet mode rides the async path: submit, then drain our ticket's
+  // The sync path rides the async one: submit, then drain our ticket's
   // completions, deferring any stale async completions for their own
   // consumers. Reassembly by index keeps request order deterministic no
   // matter how the fleet routed or retried.
@@ -224,24 +144,6 @@ BatchTicket MeasurementBroker::SubmitBatch(const std::vector<std::vector<double>
   if (!environments.empty() && environments.size() != configs.size()) {
     throw std::invalid_argument("SubmitBatch: environments must be empty or match configs");
   }
-  if (!fleet_) {
-    // Pool mode has no completion engine: measure now (same dedup/stats
-    // path), queue the completions. The async API stays mode-independent.
-    auto rows = MeasureBatchOnPool(configs, environments);
-    BatchTicket ticket{next_batch_++, configs.size()};
-    for (size_t i = 0; i < configs.size(); ++i) {
-      BrokerCompletion done;
-      done.batch = ticket.id;
-      done.index = i;
-      done.config = configs[i];
-      done.environment = EnvOf(environments, i);
-      done.row = std::move(rows[i]);
-      ready_.push_back(std::move(done));
-    }
-    outstanding_requests_ += configs.size();
-    return ticket;
-  }
-
   ++stats_.batches;
   stats_.requests += configs.size();
   stats_.largest_batch = std::max(stats_.largest_batch, configs.size());
@@ -364,7 +266,7 @@ bool MeasurementBroker::WaitCompletion(BrokerCompletion* out) {
       --outstanding_requests_;
       return true;
     }
-    if (fleet_ && !fleet_waiters_.empty()) {
+    if (!fleet_waiters_.empty()) {
       DrainOneFleetCompletion();
       continue;
     }
@@ -379,7 +281,7 @@ bool MeasurementBroker::WaitCompletionFor(BrokerCompletion* out, double timeout_
     --outstanding_requests_;
     return true;
   }
-  if (fleet_ == nullptr || fleet_waiters_.empty()) {
+  if (fleet_waiters_.empty()) {
     return false;  // nothing outstanding: a longer wait cannot help
   }
   FleetCompletion done;

@@ -6,36 +6,35 @@
 // reasoning thread. The broker makes measurement a first-class batched
 // subsystem: it accepts batches of configuration requests, deduplicates
 // repeat configurations through a canonical-config hash cache (within a
-// batch and across a whole campaign), and executes them on one of two
-// engines:
+// batch and across a whole campaign), and executes them on a BackendFleet —
+// several MeasurementBackends (in-process, simulated Jetson devices,
+// recorded replays) with per-backend queues, least-loaded + capability-aware
+// routing, typed-failure retry, and circuit breaking (src/unicorn/backend/).
+// A broker built from a task alone measures on a fleet of one
+// InProcessBackend running task.measure on BrokerOptions::num_threads
+// workers.
 //
-//   * a flat in-process thread pool (the original mode), or
-//   * a BackendFleet — several MeasurementBackends (in-process, simulated
-//     Jetson devices, recorded replays) with per-backend queues, least-
-//     loaded + capability-aware routing, typed-failure retry, and circuit
-//     breaking (src/unicorn/backend/).
-//
-// Synchronous MeasureBatch returns rows in deterministic request order in
-// both modes. Because harness tasks measure as a pure function of the
-// configuration (per-call RNG derived from the config hash), a batch of N
-// through either engine — including a fleet of homogeneous backends with
-// injected transient failures — is bit-identical to N serial calls: the
-// dedup cache sits in front of the fleet and reassembly is ticket-ordered.
+// Synchronous MeasureBatch submits the batch and drains its completions,
+// returning rows in deterministic request order. Because harness tasks
+// measure as a pure function of the configuration (per-call RNG derived
+// from the config hash), a batch of N — on any fleet of homogeneous
+// backends, with or without injected transient failures — is bit-identical
+// to N serial calls: the dedup cache sits in front of the fleet and
+// reassembly is ticket-ordered.
 //
 // The asynchronous path (SubmitBatch + WaitCompletion) exposes the fleet's
 // completion stream: rows surface as they land, so a campaign can absorb
 // one policy's batch while another's is still in flight instead of blocking
 // every policy on a per-round barrier.
 //
-// Environments: every request optionally carries an environment tag. In
-// fleet mode the tag restricts routing to exactly-matching backends (see
-// BackendFleet) — the transfer campaigns' source/target split. The dedup
-// cache is keyed on (environment, configuration), because the same
-// configuration measures differently on different hardware; SaveCache
-// persists the tag as the table's provenance column. In pool mode the tag
-// does not change what is measured (task.measure is the only engine) — it
-// only partitions the cache and labels the persisted rows, so use a fleet
-// whenever tags must bind to genuinely distinct hardware.
+// Environments: every request optionally carries an environment tag. The
+// tag restricts routing to exactly-matching backends (see BackendFleet) —
+// the transfer campaigns' source/target split. A tag that no backend
+// carries fails its request as "no eligible backend"; that includes every
+// non-empty tag sent to a task-only broker, whose one backend is untagged.
+// The dedup cache is keyed on (environment, configuration), because the
+// same configuration measures differently on different hardware; SaveCache
+// persists the tag as the table's provenance column.
 #ifndef UNICORN_UNICORN_MEASUREMENT_BROKER_H_
 #define UNICORN_UNICORN_MEASUREMENT_BROKER_H_
 
@@ -51,14 +50,13 @@
 #include "unicorn/backend/measurement_table.h"
 #include "unicorn/task.h"
 #include "util/hash.h"
-#include "util/thread_pool.h"
 
 namespace unicorn {
 
 struct BrokerOptions {
-  // Threads measuring one batch in pool mode (<= 1: requests run inline, in
-  // order). Ignored when the broker is fleet-backed — concurrency then comes
-  // from the backends.
+  // Workers of the in-process backend a task-only broker measures on (< 1
+  // clamps to 1). Ignored when the broker is given a fleet — concurrency
+  // then comes from its backends.
   int num_threads = 1;
   // Serve repeat configurations from the canonical-config cache instead of
   // re-measuring. Sound whenever task.measure is deterministic per
@@ -82,13 +80,13 @@ struct BrokerStats {
   // pipelined scheduler. Use active_wall_seconds as the denominator instead.
   double batch_wall_seconds = 0.0;
   // Wall-clock during which at least one broker request was genuinely
-  // outstanding on the measuring engine — the union of [first submit, last
-  // resolve] intervals, accumulated at the 1->0 transition of outstanding
-  // work. On the synchronous path this equals batch_wall_seconds (pinned by
+  // outstanding on the fleet — the union of [first submit, last resolve]
+  // intervals, accumulated at the 1->0 transition of outstanding work. On
+  // the synchronous path it is bounded by batch_wall_seconds (pinned by
   // measurement_broker_test); on the async path it keeps counting while the
   // caller overlaps other work, so busy/active is the honest utilization.
   double active_wall_seconds = 0.0;
-  // Per-measurement time summed across pool threads / fleet backends. With
+  // Per-measurement time summed across fleet backend workers. With
   // N-way concurrency this exceeds the wall clock by up to Nx — keeping the
   // two separate is what makes utilization (busy/wall) reportable instead of
   // silently overstating the fan-out wall time.
@@ -99,9 +97,9 @@ struct BrokerStats {
     return requests == 0 ? 0.0
                          : static_cast<double>(cache_hits) / static_cast<double>(requests);
   }
-  // Busy time per second of wall with outstanding measurement work — >1 in
-  // fleet/pool mode means real concurrency, and the async path no longer
-  // inflates it (see active_wall_seconds).
+  // Busy time per second of wall with outstanding measurement work — >1
+  // means real concurrency, and the async path no longer inflates it (see
+  // active_wall_seconds).
   double Utilization() const {
     return active_wall_seconds > 0.0 ? busy_seconds / active_wall_seconds : 0.0;
   }
@@ -126,18 +124,15 @@ struct BrokerCompletion {
 
 class MeasurementBroker {
  public:
-  // Pool mode: measurements fan out over an in-process thread pool.
+  // Measures on a fleet of one untagged InProcessBackend running
+  // task.measure on options.num_threads workers.
   explicit MeasurementBroker(PerformanceTask task, BrokerOptions options = {});
-  // Fleet mode: measurements dispatch through the given backend fleet.
-  // `task` still provides the variable/option metadata (and must match what
-  // the backends measure).
+  // Measures through the given backend fleet. `task` still provides the
+  // variable/option metadata (and must match what the backends measure).
   MeasurementBroker(PerformanceTask task, std::unique_ptr<BackendFleet> fleet,
                     BrokerOptions options = {});
 
   const PerformanceTask& task() const { return task_; }
-  bool fleet_backed() const { return fleet_ != nullptr; }
-  // Null in pool mode.
-  const BackendFleet* fleet() const { return fleet_.get(); }
 
   // Measures one configuration (a batch of one, through the cache).
   // `environment` non-empty routes it to exactly-matching fleet backends.
@@ -148,10 +143,10 @@ class MeasurementBroker {
   // (environment, configuration) requests — within the batch or already
   // measured by this broker — are measured once and counted as cache hits.
   // `environments` is parallel to `configs` (or empty: every request
-  // untagged); a size mismatch throws std::invalid_argument. In fleet mode
-  // a request that ultimately fails (retries exhausted, no eligible
-  // backend) throws std::runtime_error: the synchronous contract has no
-  // partial result.
+  // untagged); a size mismatch throws std::invalid_argument. A request that
+  // ultimately fails (retries exhausted, no eligible backend) throws
+  // std::runtime_error once the whole batch drained: the synchronous
+  // contract has no partial result.
   std::vector<std::vector<double>> MeasureBatch(
       const std::vector<std::vector<double>>& configs,
       const std::vector<std::string>& environments = {});
@@ -162,10 +157,8 @@ class MeasurementBroker {
   // WaitCompletion as rows land (out of order across and within batches;
   // BrokerCompletion carries batch + index for reassembly). Cache hits
   // complete immediately; a configuration already in flight is not
-  // re-submitted — its completion fans out to every waiting request. In
-  // pool mode the batch is measured synchronously during SubmitBatch and
-  // the completions queued, so the API is mode-independent. `environments`
-  // as in MeasureBatch.
+  // re-submitted — its completion fans out to every waiting request.
+  // `environments` as in MeasureBatch.
   BatchTicket SubmitBatch(const std::vector<std::vector<double>>& configs,
                           const std::vector<std::string>& environments = {});
 
@@ -180,8 +173,7 @@ class MeasurementBroker {
   // OutstandingRequests() to tell the two apart). Lets the pipelined
   // campaign scheduler multiplex this stream with the shard pool's
   // refresh-done events without stalling on either. Same single-consumer
-  // contract as WaitCompletion. In pool mode completions are pre-queued by
-  // SubmitBatch, so the timeout never actually sleeps there.
+  // contract as WaitCompletion.
   bool WaitCompletionFor(BrokerCompletion* out, double timeout_seconds);
 
   // Hands a completion back to the stream (front of the queue). For
@@ -196,8 +188,10 @@ class MeasurementBroker {
   //
   // Saves the dedup cache — every (configuration, row) this broker ever
   // measured or loaded — as a MeasurementTable CSV, in insertion order (the
-  // same format RecordedBackend replays). Each entry's environment tag is
-  // persisted as the table's provenance column. False on I/O failure.
+  // same format RecordedBackend replays). Measured rows insert as their
+  // completions drain, so the order is run-to-run stable only on a fleet
+  // with one worker. Each entry's environment tag is persisted as the
+  // table's provenance column. False on I/O failure.
   bool SaveCache(const std::string& path) const;
   // Pre-warms the dedup cache from a MeasurementTable CSV; loaded entries
   // key on their provenance label as the environment. Entries whose shape
@@ -206,9 +200,8 @@ class MeasurementBroker {
   size_t LoadCache(const std::string& path);
 
   const BrokerStats& stats() const { return stats_; }
-  // Fleet-side ledger (dispatch/retry/circuit-break accounting); empty in
-  // pool mode.
-  FleetStats fleet_stats() const { return fleet_ ? fleet_->stats() : FleetStats{}; }
+  // Fleet-side ledger (dispatch/retry/circuit-break accounting).
+  FleetStats fleet_stats() const { return fleet_->stats(); }
 
  private:
   struct Waiter {
@@ -233,9 +226,6 @@ class MeasurementBroker {
   };
 
   static const std::string& EnvOf(const std::vector<std::string>& environments, size_t i);
-  std::vector<std::vector<double>> MeasureBatchOnPool(
-      const std::vector<std::vector<double>>& configs,
-      const std::vector<std::string>& environments);
   const std::vector<double>* CachedRow(const std::vector<double>& config,
                                        const std::string& environment) const;
   void InsertCache(const std::vector<double>& config, const std::string& environment,
@@ -249,11 +239,10 @@ class MeasurementBroker {
 
   PerformanceTask task_;
   BrokerOptions options_;
-  std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<BackendFleet> fleet_;
 
-  // Dedup cache, insertion-ordered so SaveCache output is deterministic.
-  // Entry::provenance carries the environment tag.
+  // Dedup cache in insertion order (see SaveCache). Entry::provenance
+  // carries the environment tag.
   std::vector<MeasurementTable::Entry> cache_entries_;
   std::unordered_map<EnvConfig, size_t, EnvConfigHash> cache_index_;
 

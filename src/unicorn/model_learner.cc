@@ -279,10 +279,8 @@ const LearnedModel& CausalModelEngine::Refresh(uint64_t seed) {
   CICache* cache = shared_cache_ != nullptr ? shared_cache_ : &cache_;
   CachedCITest cached(*test_, engine_options_.use_ci_cache ? cache : nullptr,
                       data_.NumRows(), data_fingerprint_, shard_id_);
-  FciOptions fci_options = model_options_.fci;
-  fci_options.skeleton.num_threads = engine_options_.num_threads;
   obs::trace::Begin("engine.fci", "engine");
-  FciResult fci = RunFci(cached, constraints_, n, fci_options, warm_start, pool_.get());
+  FciResult fci = RunFci(cached, constraints_, n, model_options_.fci, warm_start, pool_.get());
   obs::trace::End("tests", static_cast<double>(fci.tests_performed));
 
   model_.independence_tests = fci.tests_performed;

@@ -23,7 +23,7 @@ struct PerformanceTask {
   // Measures one configuration (option values in option order) and returns
   // the full variable row. This is the expensive operation the active
   // learning loop budgets. Contract for the measurement plane: measure must
-  // be safe to call concurrently from MeasurementBroker pool threads and
+  // be safe to call concurrently from measurement fleet workers and
   // deterministic per configuration (harness tasks derive a per-call RNG
   // from the config hash); the broker's batch==serial and dedup-cache
   // guarantees rest on this.

@@ -173,25 +173,6 @@ class TaskPool {
   bool stop_ = false;
 };
 
-// Batch-submit helper: evaluates fn(i) for every i in [0, count) on the pool
-// (inline, in order, when `pool` is null) and returns the results in index
-// order — the ordered fan-out primitive under the measurement broker's
-// batches. fn must be safe to call concurrently; each result slot is written
-// by exactly one item.
-template <typename Fn>
-auto ParallelMap(ThreadPool* pool, size_t count, const Fn& fn)
-    -> std::vector<decltype(fn(size_t{0}))> {
-  std::vector<decltype(fn(size_t{0}))> out(count);
-  if (pool == nullptr || count <= 1) {
-    for (size_t i = 0; i < count; ++i) {
-      out[i] = fn(i);
-    }
-    return out;
-  }
-  pool->ParallelFor(count, [&](size_t i) { out[i] = fn(i); });
-  return out;
-}
-
 }  // namespace unicorn
 
 #endif  // UNICORN_UTIL_THREAD_POOL_H_

@@ -49,6 +49,18 @@ std::vector<std::vector<double>> SampleBatch(const PerformanceTask& task, size_t
   return configs;
 }
 
+// The serial oracle: one direct task.measure call per request, in order. It
+// never touches the broker or a fleet, so it cannot share their bugs.
+std::vector<std::vector<double>> MeasureSerially(const PerformanceTask& task,
+                                                 const std::vector<std::vector<double>>& configs) {
+  std::vector<std::vector<double>> rows;
+  rows.reserve(configs.size());
+  for (const auto& config : configs) {
+    rows.push_back(task.measure(config));
+  }
+  return rows;
+}
+
 constexpr uint64_t kFleetDeviceSeed = 1000;
 
 // A fleet of `n` homogeneous simulated devices: same model, same
@@ -146,8 +158,7 @@ TEST(BackendFleetTest, FleetMatchesSerialBrokerRowForRow) {
   const Scenario s = MakeScenario(21);
   const auto configs = SampleBatch(s.task, 40, 22);
 
-  MeasurementBroker serial(s.task);  // pool mode, one thread: the oracle
-  const auto reference = serial.MeasureBatch(configs);
+  const auto reference = MeasureSerially(s.task, configs);
 
   for (int n : {1, 2, 3, 4}) {
     MeasurementBroker broker(s.task, MakeDeviceFleet(s, 21, n, 0.0, 0.0));
@@ -163,8 +174,7 @@ TEST(BackendFleetTest, FleetMatchesSerialBrokerRowForRow) {
 TEST(BackendFleetTest, InProcessBackendsMatchSerialToo) {
   const Scenario s = MakeScenario(31);
   const auto configs = SampleBatch(s.task, 30, 32);
-  MeasurementBroker serial(s.task);
-  const auto reference = serial.MeasureBatch(configs);
+  const auto reference = MeasureSerially(s.task, configs);
 
   std::vector<std::unique_ptr<MeasurementBackend>> backends;
   backends.push_back(std::make_unique<InProcessBackend>(s.task, "proc-0", 2));
@@ -180,8 +190,7 @@ TEST(BackendFleetTest, InProcessBackendsMatchSerialToo) {
 TEST(BackendFleetTest, TransientFailuresRetryRerouteAndStillConverge) {
   const Scenario s = MakeScenario(41);
   const auto configs = SampleBatch(s.task, 60, 42);
-  MeasurementBroker serial(s.task);
-  const auto reference = serial.MeasureBatch(configs);
+  const auto reference = MeasureSerially(s.task, configs);
 
   // A 30% transient rate across every device. The devices share one profile
   // seed, so each request fails on the same attempts wherever it is routed:
@@ -283,8 +292,7 @@ class LatchedBackend : public MeasurementBackend {
 TEST(BackendFleetTest, PermanentFailuresCircuitBreakWithoutLosingRequests) {
   const Scenario s = MakeScenario(51);
   const auto configs = SampleBatch(s.task, 40, 52);
-  MeasurementBroker serial(s.task);
-  const auto reference = serial.MeasureBatch(configs);
+  const auto reference = MeasureSerially(s.task, configs);
 
   // Backend 0 permanently fails every attempt; 1 and 2 are healthy. A small
   // queue bound forces requests to pile up behind the sick backend so the
@@ -396,8 +404,7 @@ TEST(BackendFleetTest, CapabilityRoutingSendsUnrecordedConfigsToLiveBackends) {
 
   std::vector<std::vector<double>> all = recorded_configs;
   all.insert(all.end(), novel_configs.begin(), novel_configs.end());
-  MeasurementBroker serial(s.task);
-  EXPECT_EQ(broker.MeasureBatch(all), serial.MeasureBatch(all));
+  EXPECT_EQ(broker.MeasureBatch(all), MeasureSerially(s.task, all));
 
   const FleetStats stats = broker.fleet_stats();
   EXPECT_EQ(stats.failed, 0u);
@@ -465,9 +472,8 @@ TEST(BackendFleetTest, SyncBatchDefersAnOutstandingAsyncBatchsCompletions) {
   const auto async_configs = SampleBatch(s.task, 10, 96);
   const auto sync_configs = SampleBatch(s.task, 10, 97);
 
-  MeasurementBroker serial(s.task);
-  const auto async_reference = serial.MeasureBatch(async_configs);
-  const auto sync_reference = serial.MeasureBatch(sync_configs);
+  const auto async_reference = MeasureSerially(s.task, async_configs);
+  const auto sync_reference = MeasureSerially(s.task, sync_configs);
 
   MeasurementBroker broker(s.task, MakeDeviceFleet(s, 95, 2, 0.0, 0.0));
   const BatchTicket ticket = broker.SubmitBatch(async_configs);

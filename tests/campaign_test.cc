@@ -246,7 +246,7 @@ TEST(CampaignTest, AsyncFleetCampaignWithFailuresMatchesSerial) {
   campaign.engine = options.engine;
   campaign.seed = options.seed;
 
-  // Serial oracle: pool mode, one thread.
+  // Serial oracle: one in-process backend, one worker.
   CampaignRunner serial_runner(s.task, campaign);
   DebugPolicy serial_policy(options, fault->config, goals);
   serial_runner.Run({&serial_policy});

@@ -5,6 +5,7 @@
 #include "stats/ci_cache.h"
 #include "sysmodel/systems.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace unicorn {
 namespace {
@@ -232,15 +233,14 @@ TEST(FciTest, ParallelSkeletonBitIdenticalToSerial) {
   const StructuralConstraints constraints(world.vars);
   const CompositeTest test(world.data);
 
-  SkeletonOptions serial;
-  serial.max_cond_size = 2;
-  serial.max_subsets = 16;
-  serial.num_threads = 1;
-  const SkeletonResult one = LearnSkeleton(test, constraints, world.data.NumVars(), serial);
+  SkeletonOptions options;
+  options.max_cond_size = 2;
+  options.max_subsets = 16;
+  const SkeletonResult one = LearnSkeleton(test, constraints, world.data.NumVars(), options);
 
-  SkeletonOptions threaded = serial;
-  threaded.num_threads = 4;
-  const SkeletonResult four = LearnSkeleton(test, constraints, world.data.NumVars(), threaded);
+  ThreadPool pool(4);
+  const SkeletonResult four =
+      LearnSkeleton(test, constraints, world.data.NumVars(), options, {}, &pool);
 
   EXPECT_TRUE(SameMarks(one.graph, four.graph));
   EXPECT_EQ(one.tests_performed, four.tests_performed);

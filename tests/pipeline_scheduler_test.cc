@@ -108,13 +108,12 @@ GroupedRun RunThreeGroupCampaign(const Scenario& s, bool async, bool pipeline,
     fault_b = fault_a;
   }
   DebugOptions debug_options = FastDebugOptions();
-  debug_options.model.fci.skeleton.num_threads = engine_threads;
   OptimizeOptions optimize_options = FastOptimizeOptions();
-  optimize_options.model.fci.skeleton.num_threads = engine_threads;
 
   CampaignOptions campaign;
   campaign.model = debug_options.model;
   campaign.engine = debug_options.engine;
+  campaign.engine.num_threads = engine_threads;
   campaign.seed = debug_options.seed;
   campaign.refresh_threads = refresh_threads;
   campaign.pipeline = pipeline;
@@ -170,7 +169,7 @@ TEST(PipelineSchedulerTest, BarrierEngineMatchesSync) {
 
 // Transient backend failures must stay invisible to the reasoning: a
 // pipelined campaign over a fleet of simulated devices with a 25% transient
-// failure rate reproduces the serial pool-mode oracle row for row, while the
+// failure rate reproduces the serial one-backend oracle row for row, while the
 // fleet ledger shows the retries really happened. The async-refresh ledger
 // must surface through every policy's pool_stats.
 TEST(PipelineSchedulerTest, PipelinedFleetWithTransientFailuresMatchesSync) {

@@ -100,7 +100,7 @@ MeasurementTable RecordSource(const Scenario& s, size_t count, uint64_t seed,
 }
 
 // Target fleet: the source recording + two live TX2 devices whose task seed
-// matches the target task (so fleet rows equal pool-mode rows).
+// matches the target task (so fleet rows equal the target task's own rows).
 std::unique_ptr<BackendFleet> MakeTargetFleet(const Scenario& s,
                                               const MeasurementTable& source_table) {
   std::vector<std::unique_ptr<MeasurementBackend>> backends;
@@ -138,7 +138,7 @@ TEST(TransferCampaignTest, FleetTransferMatchesLegacyWarmTableBitForBit) {
     DebugOptions options = FastDebugOptions();
     options.initial_samples = initial_samples;
 
-    // Legacy path: pool-mode broker, warm-start DataTable.
+    // Legacy path: task-only broker, warm-start DataTable.
     UnicornDebugger debugger(s.target_task, options);
     const DebugResult legacy = debugger.Debug(fault->config, goals, &warm);
 
