@@ -25,8 +25,9 @@ namespace {
 
 // Samples `n` configurations in `env` through the measurement plane (the
 // seed bench called SystemModel::MeasureMany directly, so its sample counts
-// were invisible to BrokerStats). Requests are tagged with the environment
-// name, so the persisted/cached rows carry their provenance.
+// were invisible to BrokerStats). The broker measures one environment and
+// persists nothing, so its requests go untagged: a task-only broker serves
+// only untagged requests.
 DataTable SampleEnv(const std::shared_ptr<SystemModel>& model, const Environment& env,
                     size_t n, uint64_t seed) {
   const PerformanceTask task = MakeSimulatedTask(model, env, DefaultWorkload(), seed);
@@ -38,8 +39,7 @@ DataTable SampleEnv(const std::shared_ptr<SystemModel>& model, const Environment
   for (size_t i = 0; i < n; ++i) {
     configs.push_back(model->SampleConfig(&rng));
   }
-  const auto rows =
-      broker.MeasureBatch(configs, std::vector<std::string>(configs.size(), env.name));
+  const auto rows = broker.MeasureBatch(configs);
   DataTable data(model->variables());
   data.Reserve(rows.size());
   for (const auto& row : rows) {

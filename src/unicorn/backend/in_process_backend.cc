@@ -1,5 +1,6 @@
 #include "unicorn/backend/in_process_backend.h"
 
+#include <exception>
 #include <utility>
 
 namespace unicorn {
@@ -13,7 +14,13 @@ InProcessBackend::InProcessBackend(PerformanceTask task, std::string name, int c
 
 MeasureOutcome InProcessBackend::Measure(const std::vector<double>& config, int attempt) {
   (void)attempt;
-  return MeasureOutcome::Ok(task_.measure(config));
+  try {
+    return MeasureOutcome::Ok(task_.measure(config));
+  } catch (const std::exception& e) {
+    return MeasureOutcome::Permanent(e.what());
+  } catch (...) {
+    return MeasureOutcome::Permanent("task.measure threw a non-standard exception");
+  }
 }
 
 }  // namespace unicorn

@@ -12,8 +12,8 @@
 namespace unicorn {
 
 /// Wraps a PerformanceTask as a fleet member. Stateless beyond the task;
-/// never fails on its own (failures can only come from task.measure
-/// throwing, which the backend contract forbids — harness tasks don't).
+/// never fails on its own: an exception from task.measure comes back as a
+/// permanent failure carrying its message (harness tasks never throw).
 class InProcessBackend : public MeasurementBackend {
  public:
   /// `concurrency` is how many fleet workers may call task.measure at once
@@ -28,7 +28,8 @@ class InProcessBackend : public MeasurementBackend {
   int concurrency() const override { return concurrency_; }
   const std::string& environment() const override { return environment_; }
 
-  /// Always returns kOk with task.measure's row; `attempt` is ignored.
+  /// kOk with task.measure's row, or kPermanent with the message of the
+  /// exception task.measure threw; `attempt` is ignored.
   /// Thread-safety: safe from concurrency() workers iff task.measure is
   /// (every harness task is — pure per configuration).
   MeasureOutcome Measure(const std::vector<double>& config, int attempt) override;

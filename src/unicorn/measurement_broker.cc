@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -42,7 +43,13 @@ const BrokerMetrics& Metrics() {
 std::unique_ptr<BackendFleet> InProcessFleet(const PerformanceTask& task, int num_threads) {
   std::vector<std::unique_ptr<MeasurementBackend>> backends;
   backends.push_back(std::make_unique<InProcessBackend>(task, "in-process", num_threads));
-  return std::make_unique<BackendFleet>(std::move(backends));
+  // A configuration task.measure throws on would throw again on a retry, and
+  // says nothing about the health of the one backend: fail just that
+  // request, first time, and never retire the backend.
+  FleetOptions options;
+  options.max_attempts = 1;
+  options.circuit_break_after = std::numeric_limits<int>::max();
+  return std::make_unique<BackendFleet>(std::move(backends), options);
 }
 
 }  // namespace

@@ -12,7 +12,8 @@
 // routing, typed-failure retry, and circuit breaking (src/unicorn/backend/).
 // A broker built from a task alone measures on a fleet of one
 // InProcessBackend running task.measure on BrokerOptions::num_threads
-// workers.
+// workers. An exception from task.measure fails only its own request, with
+// no retry, and leaves the broker usable.
 //
 // Synchronous MeasureBatch submits the batch and drains its completions,
 // returning rows in deterministic request order. Because harness tasks
@@ -25,7 +26,9 @@
 // The asynchronous path (SubmitBatch + WaitCompletion) exposes the fleet's
 // completion stream: rows surface as they land, so a campaign can absorb
 // one policy's batch while another's is still in flight instead of blocking
-// every policy on a per-round barrier.
+// every policy on a per-round barrier. The stream's order is run-to-run
+// stable only on a fleet with one worker; with more, it follows thread
+// timing.
 //
 // Environments: every request optionally carries an environment tag. The
 // tag restricts routing to exactly-matching backends (see BackendFleet) —
@@ -144,9 +147,9 @@ class MeasurementBroker {
   // measured by this broker — are measured once and counted as cache hits.
   // `environments` is parallel to `configs` (or empty: every request
   // untagged); a size mismatch throws std::invalid_argument. A request that
-  // ultimately fails (retries exhausted, no eligible backend) throws
-  // std::runtime_error once the whole batch drained: the synchronous
-  // contract has no partial result.
+  // ultimately fails (retries exhausted, no eligible backend, task.measure
+  // threw) throws std::runtime_error carrying its error once the whole batch
+  // drained: the synchronous contract has no partial result.
   std::vector<std::vector<double>> MeasureBatch(
       const std::vector<std::vector<double>>& configs,
       const std::vector<std::string>& environments = {});

@@ -26,7 +26,11 @@ struct PerformanceTask {
   // be safe to call concurrently from measurement fleet workers and
   // deterministic per configuration (harness tasks derive a per-call RNG
   // from the config hash); the broker's batch==serial and dedup-cache
-  // guarantees rest on this.
+  // guarantees rest on this. measure may throw to reject a configuration:
+  // InProcessBackend reports that as a permanent failure, and a broker built
+  // from the task alone fails just that request (MeasureBatch throws
+  // std::runtime_error carrying the message) and still measures the rest of
+  // its batch.
   std::function<std::vector<double>(const std::vector<double>&)> measure;
 
   // Samples a uniform-random configuration.

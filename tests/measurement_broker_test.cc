@@ -236,6 +236,53 @@ TEST(MeasurementBrokerTest, UnservedEnvironmentTagFailsTheBatch) {
   EXPECT_EQ(broker.stats().failures, configs.size());
 }
 
+// A task may reject a configuration by throwing from measure. A task-only
+// broker fails just that request, first attempt, with the task's message;
+// the rest of the batch is measured and cached, and the broker stays usable
+// however many rejections it sees (its one backend is never retired).
+TEST(MeasurementBrokerTest, ThrowingMeasureFailsOnlyItsRequest) {
+  const PerformanceTask base = MakeTask(45);
+  const auto configs = SampleBatch(base, 6, 46);
+  const std::vector<double> rejected = configs[2];
+  PerformanceTask task = base;
+  task.measure = [base, rejected](const std::vector<double>& config) {
+    if (config == rejected) {
+      throw std::invalid_argument("configuration rejected");
+    }
+    return base.measure(config);
+  };
+  auto accepted = configs;
+  accepted.erase(accepted.begin() + 2);
+
+  for (int threads : {1, 4}) {
+    BrokerOptions options;
+    options.num_threads = threads;
+    MeasurementBroker broker(task, options);
+    const size_t rounds = 4;  // more than a default fleet's circuit_break_after
+    for (size_t round = 1; round <= rounds; ++round) {
+      try {
+        broker.MeasureBatch(configs);
+        ADD_FAILURE() << "a rejected configuration must fail its batch";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("configuration rejected"), std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(broker.stats().failures, round) << "threads=" << threads;
+      EXPECT_EQ(broker.OutstandingRequests(), 0u);
+    }
+    const FleetStats fleet = broker.fleet_stats();
+    EXPECT_EQ(fleet.submitted, accepted.size() + rounds) << "threads=" << threads;
+    EXPECT_EQ(fleet.failed, rounds);
+    EXPECT_EQ(fleet.retries, 0u);
+    EXPECT_EQ(fleet.circuit_breaks, 0u);
+
+    EXPECT_EQ(broker.MeasureBatch(accepted), MeasureSerially(base, accepted));
+    EXPECT_EQ(broker.stats().measured, accepted.size() + rounds);
+    const auto fresh = SampleBatch(base, 3, 47);
+    EXPECT_EQ(broker.MeasureBatch(fresh), MeasureSerially(base, fresh));
+  }
+}
+
 TEST(MeasurementBrokerTest, LoadCacheRejectsMismatchedTaskShape) {
   const PerformanceTask task = MakeTask(15);
   const std::string path = ::testing::TempDir() + "broker_cache_mismatch.csv";
