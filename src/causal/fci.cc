@@ -1,7 +1,6 @@
 #include "causal/fci.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <functional>
 
 #include "obs/trace.h"
@@ -43,49 +42,24 @@ bool PutTail(MixedGraph* g, size_t u, size_t z, std::vector<int>* circles = null
 
 void OrientVStructures(const SepsetMap& sepsets, MixedGraph* g) {
   const size_t n = g->NumNodes();
-  // Iterate unshielded pairs and intersect their (frozen) adjacency rows as
-  // bitsets instead of enumerating triples z-outer: the triple order
-  // re-queried the sepset map once per common neighbor, while here one fetch
-  // per pair suffices and the intersection is a handful of word ANDs. The
-  // set of visited (x, y, z) triples is unchanged — bit extraction walks the
-  // common neighbors in ascending order — and the upgrades are idempotent
-  // circle->arrow promotions whose guards never re-enable, so the final
-  // marks are identical in either order.
-  const size_t words = (n + 63) / 64;
-  std::vector<uint64_t> bits(n * words, 0);
-  for (size_t v = 0; v < n; ++v) {
-    for (size_t u : g->Adjacent(v)) {
-      bits[v * words + u / 64] |= uint64_t{1} << (u % 64);
-    }
-  }
-  for (size_t x = 0; x < n; ++x) {
-    const uint64_t* bx = &bits[x * words];
-    for (size_t y = x + 1; y < n; ++y) {
-      if (g->HasEdge(x, y)) {
-        continue;  // shielded
-      }
-      const uint64_t* by = &bits[y * words];
-      const std::vector<size_t>* s = nullptr;
-      bool sepset_fetched = false;
-      for (size_t w = 0; w < words; ++w) {
-        uint64_t common = bx[w] & by[w];
-        while (common != 0) {
-          const size_t z = w * 64 + static_cast<size_t>(__builtin_ctzll(common));
-          common &= common - 1;
-          if (!sepset_fetched) {
-            s = sepsets.Get(x, y);
-            sepset_fetched = true;
-          }
-          if (s == nullptr || !std::binary_search(s->begin(), s->end(), z)) {
-            // x *-> z <-* y. Only upgrade circle marks; background-knowledge
-            // tails (options) stay tails to keep constraints satisfied.
-            if (g->HasCircleAt(x, z)) {
-              PutArrow(g, x, z);
-            }
-            if (g->HasCircleAt(y, z)) {
-              PutArrow(g, y, z);
-            }
-          }
+  // Every unshielded triple x *-* z *-* y with z not in sepset(x, y) puts an
+  // arrow at z on x-z, but only over a circle: background-knowledge tails
+  // (options) stay tails to keep constraints satisfied. So a circle at z on
+  // x-z becomes an arrow exactly when some triple through x fires, and the
+  // search for one around centre z stops at the first. Adjacency never
+  // changes here and only centre z writes marks at z's end, so the result
+  // does not depend on visit order.
+  for (size_t z = 0; z < n; ++z) {
+    const std::vector<size_t> nbrs = g->Adjacent(z);
+    for (const size_t x : nbrs) {
+      for (size_t j = 0; j < nbrs.size() && g->HasCircleAt(x, z); ++j) {
+        const size_t y = nbrs[j];
+        if (y == x || g->HasEdge(x, y)) {
+          continue;  // x itself, or a shielded triple
+        }
+        const auto s = sepsets.Get(x, y);
+        if (!s.has_value() || !s->Contains(z)) {
+          PutArrow(g, x, z);
         }
       }
     }
@@ -249,6 +223,9 @@ bool RuleR4(const SepsetMap& sepsets, const AdjacencyLists& adj, std::vector<int
   const size_t n = g->NumNodes();
   bool changed = false;
   constexpr size_t kMaxPathLen = 8;
+  // Vertices on the current path. extend() restores its own marks, so only
+  // the three seeds are cleared after each candidate.
+  std::vector<bool> on_path(n, false);
   for (size_t b = 0; b < n; ++b) {
     for (size_t c : adj[b]) {
       if (!g->HasCircleAt(b, c) && !g->HasCircleAt(c, b)) {
@@ -259,14 +236,10 @@ bool RuleR4(const SepsetMap& sepsets, const AdjacencyLists& adj, std::vector<int
           continue;
         }
         // Interior vertices must be colliders on the path and parents of c.
-        if (!g->HasArrowAt(b, a) && !g->IsDirected(a, c)) {
-          continue;
-        }
         if (!g->IsDirected(a, c) || !g->HasArrowAt(b, a)) {
           continue;
         }
         // DFS backwards from a; the path so far is <v, ..., a, b, c>.
-        std::vector<bool> on_path(n, false);
         on_path[a] = true;
         on_path[b] = true;
         on_path[c] = true;
@@ -312,6 +285,9 @@ bool RuleR4(const SepsetMap& sepsets, const AdjacencyLists& adj, std::vector<int
         if (extend(a, 3)) {
           changed = true;
         }
+        on_path[a] = false;
+        on_path[b] = false;
+        on_path[c] = false;
       }
     }
   }
@@ -451,8 +427,11 @@ FciResult RunFci(const CITest& test, const StructuralConstraints& constraints, s
   result.sepsets = std::move(skel.sepsets);
   MixedGraph& g = skel.graph;
 
-  constraints.ApplyOrientations(&g);
-  OrientVStructures(result.sepsets, &g);
+  {
+    TRACE_SPAN("fci.vstructs", "engine");
+    constraints.ApplyOrientations(&g);
+    OrientVStructures(result.sepsets, &g);
+  }
 
   if (options.use_possible_dsep) {
     TRACE_SPAN("fci.possible_dsep", "engine");
@@ -469,6 +448,7 @@ FciResult RunFci(const CITest& test, const StructuralConstraints& constraints, s
         }
       }
     }
+    TRACE_SPAN("fci.vstructs", "engine");
     constraints.ApplyOrientations(&g);
     OrientVStructures(result.sepsets, &g);
   }

@@ -1,6 +1,7 @@
 #include "causal/skeleton.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "obs/trace.h"
 
@@ -8,17 +9,63 @@ namespace unicorn {
 
 void SepsetMap::Set(size_t a, size_t b, std::vector<size_t> s) {
   std::sort(s.begin(), s.end());
-  sets_[Key(a, b)] = std::move(s);
+  const size_t i = SlotIndex(a, b);
+  if (i >= slots_.size()) {
+    slots_.resize(i + 1);
+  }
+  Release(&slots_[i]);
+  // Overwrites and erasures leave dead members behind; reclaim them before
+  // they outnumber the live ones, so the arena stays within twice its live
+  // size however long the map is reused.
+  if (dead_ > arena_.size() - dead_) {
+    Compact();
+  }
+  if (arena_.size() + s.size() >= kAbsent) {
+    throw std::length_error("SepsetMap: member arena exceeds 2^32 entries");
+  }
+  slots_[i] = {static_cast<uint32_t>(arena_.size()), static_cast<uint32_t>(s.size())};
+  arena_.insert(arena_.end(), s.begin(), s.end());
 }
 
-const std::vector<size_t>* SepsetMap::Get(size_t a, size_t b) const {
-  auto it = sets_.find(Key(a, b));
-  return it == sets_.end() ? nullptr : &it->second;
+void SepsetMap::Erase(size_t a, size_t b) {
+  const size_t i = SlotIndex(a, b);
+  if (i < slots_.size()) {
+    Release(&slots_[i]);
+  }
+}
+
+std::optional<SepsetView> SepsetMap::Get(size_t a, size_t b) const {
+  const size_t i = SlotIndex(a, b);
+  if (i >= slots_.size() || slots_[i].size == kAbsent) {
+    return std::nullopt;
+  }
+  return SepsetView(arena_.data() + slots_[i].offset, slots_[i].size);
 }
 
 bool SepsetMap::Contains(size_t a, size_t b, size_t v) const {
-  const auto* s = Get(a, b);
-  return s != nullptr && std::binary_search(s->begin(), s->end(), v);
+  const auto s = Get(a, b);
+  return s.has_value() && s->Contains(v);
+}
+
+void SepsetMap::Release(Slot* slot) {
+  if (slot->size != kAbsent) {
+    dead_ += slot->size;
+    slot->size = kAbsent;
+  }
+}
+
+void SepsetMap::Compact() {
+  std::vector<uint32_t> live;
+  live.reserve(arena_.size() - dead_);
+  for (Slot& slot : slots_) {
+    if (slot.size != kAbsent) {
+      const auto first = arena_.begin() + slot.offset;
+      slot.offset = static_cast<uint32_t>(live.size());
+      live.insert(live.end(), first, first + slot.size);
+    }
+  }
+  arena_ = std::move(live);
+  dead_ = 0;
 }
 
 std::vector<std::vector<size_t>> Subsets(const std::vector<size_t>& pool, size_t k,
@@ -151,46 +198,38 @@ SkeletonResult LearnSkeleton(const CITest& test, const StructuralConstraints& co
   result.graph = MixedGraph(num_vars);
   MixedGraph& g = result.graph;
   const bool warm_active = warm.Active();
-  size_t allowed_pairs = 0;
-  for (size_t a = 0; a < num_vars; ++a) {
-    for (size_t b = a + 1; b < num_vars; ++b) {
-      allowed_pairs += constraints.EdgeAllowed(a, b) ? 1 : 0;
-    }
-  }
-  result.sepsets.Reserve(allowed_pairs);
-  for (size_t a = 0; a < num_vars; ++a) {
-    for (size_t b = a + 1; b < num_vars; ++b) {
-      if (!constraints.EdgeAllowed(a, b)) {
-        continue;
-      }
-      if (warm_active && !warm.Dirty(a, b, num_vars)) {
-        // Clean pair: adopt the previous refresh's decision verbatim.
-        if (warm.graph->HasEdge(a, b)) {
-          g.AddCircleCircle(a, b);
-        } else if (const auto* s = warm.sepsets->Get(a, b)) {
-          result.sepsets.Set(a, b, *s);
+  {
+    TRACE_SPAN("skeleton.setup", "engine");
+    // A warm start adopts the previous separating sets wholesale, then drops
+    // every entry this sweep must not keep: only a clean, allowed pair that
+    // the previous graph separates keeps its set.
+    result.sepsets = warm_active ? *warm.sepsets : SepsetMap(num_vars);
+    for (size_t a = 0; a < num_vars; ++a) {
+      for (size_t b = a + 1; b < num_vars; ++b) {
+        bool keep_set = false;
+        if (constraints.EdgeAllowed(a, b)) {
+          if (warm_active && !warm.Dirty(a, b, num_vars) && !warm.graph->HasEdge(a, b)) {
+            keep_set = true;  // clean pair: adopt the previous decision verbatim
+          } else {
+            g.AddCircleCircle(a, b);
+          }
         }
-        continue;
+        if (warm_active && !keep_set) {
+          result.sepsets.Erase(a, b);
+        }
       }
-      g.AddCircleCircle(a, b);
     }
   }
 
   for (int d = 0; d <= options.max_cond_size; ++d) {
     obs::trace::Span level_span("skeleton.level", "engine");
     level_span.SetArg("level", static_cast<double>(d));
-    // PC-stable: freeze adjacency for this level so removal order does not
-    // change which tests are run.
-    std::vector<std::vector<size_t>> adj(num_vars);
-    for (size_t v = 0; v < num_vars; ++v) {
-      adj[v] = g.Adjacent(v);
-    }
     // Work list in deterministic pair order; warm starts only sweep pairs
     // whose statistics changed.
     std::vector<std::pair<size_t, size_t>> pairs;
     for (size_t x = 0; x < num_vars; ++x) {
-      for (size_t y : adj[x]) {
-        if (y <= x || !g.HasEdge(x, y)) {
+      for (size_t y = x + 1; y < num_vars; ++y) {
+        if (!g.HasEdge(x, y)) {
           continue;
         }
         if (constraints.EdgeRequired(x, y)) {
@@ -200,6 +239,15 @@ SkeletonResult LearnSkeleton(const CITest& test, const StructuralConstraints& co
           continue;
         }
         pairs.push_back({x, y});
+      }
+    }
+    // PC-stable: freeze adjacency for this level so removal order does not
+    // change which tests are run. A level with nothing to test skips it.
+    std::vector<std::vector<size_t>> adj;
+    if (!pairs.empty()) {
+      adj.resize(num_vars);
+      for (size_t v = 0; v < num_vars; ++v) {
+        adj[v] = g.Adjacent(v);
       }
     }
 

@@ -16,8 +16,9 @@
 #ifndef UNICORN_CAUSAL_SKELETON_H_
 #define UNICORN_CAUSAL_SKELETON_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -28,28 +29,68 @@
 
 namespace unicorn {
 
-// Separating sets keyed by unordered node pair (stored with first < second).
-// Get/Contains sit on the orientation hot path (every unshielded triple asks
-// for one), so the pair key is packed into 64 bits and stored in a hash map
-// instead of a tree. Node indices are variable indices, far below 2^32.
-class SepsetMap {
+// One recorded separating set: its members in ascending order. A view into
+// the owning SepsetMap, valid until that map is next modified.
+class SepsetView {
  public:
-  void Set(size_t a, size_t b, std::vector<size_t> s);
-  // Null when no separating set was recorded for (a, b).
-  const std::vector<size_t>* Get(size_t a, size_t b) const;
-  bool Contains(size_t a, size_t b, size_t v) const;
-  // Pre-sizes the table (a skeleton sweep knows its pair count up front;
-  // growing a ~100k-entry map by rehashing costs more than the inserts).
-  void Reserve(size_t pairs) { sets_.reserve(pairs); }
+  SepsetView(const uint32_t* members, size_t size) : members_(members), size_(size) {}
+
+  const uint32_t* begin() const { return members_; }
+  const uint32_t* end() const { return members_ + size_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  bool Contains(size_t v) const { return std::binary_search(begin(), end(), v); }
+
+  bool operator==(const SepsetView& other) const {
+    return std::equal(begin(), end(), other.begin(), other.end());
+  }
+  bool operator!=(const SepsetView& other) const { return !(*this == other); }
 
  private:
-  static uint64_t Key(size_t a, size_t b) {
+  const uint32_t* members_;
+  size_t size_;
+};
+
+// Separating sets keyed by unordered node pair. Every pair owns one flat slot
+// (pair a < b at b(b-1)/2 + a) pointing into a single member arena, so a
+// lookup is an array read and copying or dropping the whole table moves two
+// buffers. Node indices are variable indices, far below 2^32.
+class SepsetMap {
+ public:
+  // Sized for every pair of `num_vars` variables; Set grows the table past
+  // that, so a default-constructed map accepts any pair.
+  explicit SepsetMap(size_t num_vars = 0)
+      : slots_(num_vars < 2 ? 0 : num_vars * (num_vars - 1) / 2) {}
+
+  void Set(size_t a, size_t b, std::vector<size_t> s);
+  void Erase(size_t a, size_t b);
+  // Empty when no separating set was recorded for (a, b).
+  std::optional<SepsetView> Get(size_t a, size_t b) const;
+  bool Contains(size_t a, size_t b, size_t v) const;
+  // Members held in the arena, live or dead; right after any Set it is at
+  // most twice the members of the recorded sets.
+  size_t arena_size() const { return arena_.size(); }
+
+ private:
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+  struct Slot {
+    uint32_t offset = 0;
+    uint32_t size = kAbsent;
+  };
+  static size_t SlotIndex(size_t a, size_t b) {
     if (a > b) {
       std::swap(a, b);
     }
-    return (static_cast<uint64_t>(a) << 32) | static_cast<uint64_t>(b);
+    return b * (b - 1) / 2 + a;
   }
-  std::unordered_map<uint64_t, std::vector<size_t>> sets_;
+  // Drops a recorded set's members from the arena's live count.
+  void Release(Slot* slot);
+  // Rewrites the arena with only the members that slots still reference.
+  void Compact();
+
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> arena_;
+  size_t dead_ = 0;  // arena members no slot references (erased/overwritten)
 };
 
 struct SkeletonOptions {

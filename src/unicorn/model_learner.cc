@@ -243,20 +243,22 @@ const LearnedModel& CausalModelEngine::Refresh(uint64_t seed) {
   // correlations computed here are exactly the ones the old per-pair
   // snapshot would have recomputed afterwards.
   std::vector<double> correlations;
-  moments_.PearsonUpperTri(&correlations);
-
   std::vector<char> dirty;
   SkeletonWarmStart warm_start;
   EdgeDecisionMap entropic_reuse;
   size_t reused = 0;
-  if (warm) {
-    reused = ComputeDirtyPairs(&dirty, correlations);
-    warm_start.graph = &model_.admg;
-    warm_start.sepsets = &sepsets_;
-    warm_start.pair_dirty = &dirty;
-    for (const auto& [pair, decision] : entropic_decisions_) {
-      if (dirty[pair.first * n + pair.second] == 0) {
-        entropic_reuse.emplace(pair, decision);
+  {
+    TRACE_SPAN("engine.warm_start", "engine");
+    moments_.PearsonUpperTri(&correlations);
+    if (warm) {
+      reused = ComputeDirtyPairs(&dirty, correlations);
+      warm_start.graph = &model_.admg;
+      warm_start.sepsets = &sepsets_;
+      warm_start.pair_dirty = &dirty;
+      for (const auto& [pair, decision] : entropic_decisions_) {
+        if (dirty[pair.first * n + pair.second] == 0) {
+          entropic_reuse.emplace(pair, decision);
+        }
       }
     }
   }

@@ -135,6 +135,33 @@ TEST(RulesTest, R2OrientsTransitive) {
   EXPECT_EQ(g.EndMark(0, 2), Mark::kArrow);
 }
 
+TEST(RulesTest, R4OrientsDiscriminatingPath) {
+  // <d, a, b, c> = <0, 1, 2, 3>: d -> a <-> b o-o c and a -> c, with d and c
+  // non-adjacent, so the path discriminates b.
+  const auto build = [] {
+    MixedGraph g(4);
+    g.AddDirected(0, 1);
+    g.AddBidirected(1, 2);
+    g.AddDirected(1, 3);
+    g.AddCircleCircle(2, 3);
+    return g;
+  };
+  // b in sepset(d, c): b is a non-collider on the path, so b -> c.
+  MixedGraph with_b = build();
+  SepsetMap b_separates;
+  b_separates.Set(0, 3, {1, 2});
+  ApplyOrientationRules(b_separates, &with_b);
+  EXPECT_TRUE(with_b.IsDirected(2, 3));
+  EXPECT_TRUE(with_b.IsBidirected(1, 2));
+  // b not in sepset(d, c): b is a collider, so a <-> b <-> c.
+  MixedGraph without_b = build();
+  SepsetMap a_separates;
+  a_separates.Set(0, 3, {1});
+  ApplyOrientationRules(a_separates, &without_b);
+  EXPECT_TRUE(without_b.IsBidirected(1, 2));
+  EXPECT_TRUE(without_b.IsBidirected(2, 3));
+}
+
 TEST(FciTest, LatentConfounderLeavesSharedEdgeStructure) {
   // Two events share a hidden cause (not in the table): e0 <- L -> e1.
   // FCI must keep e0 - e1 adjacent but cannot orient it as a clean
@@ -207,6 +234,71 @@ FciOptions SmallFciOptions() {
   return ::testing::AssertionSuccess();
 }
 
+::testing::AssertionResult SameSepsets(const SepsetMap& a, const SepsetMap& b, size_t n) {
+  for (size_t x = 0; x < n; ++x) {
+    for (size_t y = x + 1; y < n; ++y) {
+      if (a.Get(x, y) != b.Get(x, y)) {
+        return ::testing::AssertionFailure() << "sepsets differ at (" << x << ", " << y << ")";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(VStructureTest, MatchesBruteForceTriplesOnMeasuredSkeleton) {
+  const World world = MeasuredWorld(SystemId::kDeepspeech, 200, 11);
+  const StructuralConstraints constraints(world.vars);
+  const CompositeTest test(world.data);
+  SkeletonOptions options;
+  options.max_cond_size = 2;
+  options.max_subsets = 16;
+  const size_t n = world.data.NumVars();
+  const SkeletonResult skel = LearnSkeleton(test, constraints, n, options);
+  const MixedGraph oriented = [&] {
+    MixedGraph g = skel.graph;
+    constraints.ApplyOrientations(&g);
+    return g;
+  }();
+
+  // The raw skeleton has circles everywhere, so option pairs (which never get
+  // a separating set) fire; the oriented one keeps background-knowledge tails.
+  for (const MixedGraph* input : {&skel.graph, &oriented}) {
+    // O(n^3) reference over every centre z and every non-adjacent pair of its
+    // neighbours, reading adjacency from the untouched input.
+    MixedGraph reference = *input;
+    size_t unshielded = 0;
+    size_t colliders = 0;
+    for (size_t z = 0; z < n; ++z) {
+      for (size_t x = 0; x < n; ++x) {
+        for (size_t y = x + 1; y < n; ++y) {
+          if (x == z || y == z || !input->HasEdge(x, z) || !input->HasEdge(y, z) ||
+              input->HasEdge(x, y)) {
+            continue;
+          }
+          ++unshielded;
+          if (skel.sepsets.Contains(x, y, z)) {
+            continue;
+          }
+          ++colliders;
+          if (reference.HasCircleAt(x, z)) {
+            reference.SetEndMark(x, z, Mark::kArrow);
+          }
+          if (reference.HasCircleAt(y, z)) {
+            reference.SetEndMark(y, z, Mark::kArrow);
+          }
+        }
+      }
+    }
+    // Both outcomes occur, so the comparison covers fired and blocked triples.
+    ASSERT_GT(colliders, 0u);
+    ASSERT_LT(colliders, unshielded);
+
+    MixedGraph g = *input;
+    OrientVStructures(skel.sepsets, &g);
+    EXPECT_TRUE(SameMarks(reference, g)) << (input == &oriented ? "oriented" : "raw");
+  }
+}
+
 TEST(FciTest, CachedRunMatchesUncachedRun) {
   const World world = MeasuredWorld(SystemId::kXception, 220, 5);
   const StructuralConstraints constraints(world.vars);
@@ -244,16 +336,7 @@ TEST(FciTest, ParallelSkeletonBitIdenticalToSerial) {
 
   EXPECT_TRUE(SameMarks(one.graph, four.graph));
   EXPECT_EQ(one.tests_performed, four.tests_performed);
-  for (size_t a = 0; a < world.data.NumVars(); ++a) {
-    for (size_t b = a + 1; b < world.data.NumVars(); ++b) {
-      const auto* sa = one.sepsets.Get(a, b);
-      const auto* sb = four.sepsets.Get(a, b);
-      ASSERT_EQ(sa == nullptr, sb == nullptr) << "sepset presence differs at " << a << "," << b;
-      if (sa != nullptr) {
-        EXPECT_EQ(*sa, *sb);
-      }
-    }
-  }
+  EXPECT_TRUE(SameSepsets(one.sepsets, four.sepsets, world.data.NumVars()));
 }
 
 TEST(FciTest, AllDirtyWarmStartEqualsColdStart) {
@@ -293,12 +376,70 @@ TEST(FciTest, AllCleanWarmStartAdoptsWithoutTesting) {
   const FciResult adopted = RunFci(test, constraints, n, options, warm);
   EXPECT_EQ(test.calls, calls_before);  // not a single CI test issued
   EXPECT_EQ(adopted.tests_performed, 0);
-  // Adjacency is adopted wholesale; orientation re-derives from the sepsets.
+  // Adjacency and separating sets are adopted wholesale; orientation
+  // re-derives from the sepsets.
   for (size_t a = 0; a < n; ++a) {
     for (size_t b = a + 1; b < n; ++b) {
       EXPECT_EQ(cold.pag.HasEdge(a, b), adopted.pag.HasEdge(a, b));
     }
   }
+  EXPECT_TRUE(SameSepsets(cold.sepsets, adopted.sepsets, n));
+}
+
+TEST(FciTest, MixedWarmStartKeepsCleanPairsAndRetestsDirtyOnes) {
+  const World world = MeasuredWorld(SystemId::kX264, 200, 10);
+  const StructuralConstraints constraints(world.vars);
+  const CompositeTest test(world.data);
+  const FciOptions options = SmallFciOptions();
+  const size_t n = world.data.NumVars();
+
+  const FciResult cold = RunFci(test, constraints, n, options);
+
+  Rng rng(10);
+  std::vector<char> half_dirty(n * n, 0);
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t b = a + 1; b < n; ++b) {
+      half_dirty[a * n + b] = rng.Uniform() < 0.5 ? 1 : 0;
+    }
+  }
+  // The warm map also carries stale entries the adoption must drop: one on
+  // every pair the warm graph joins and on every pair no edge may join.
+  SepsetMap warm_sets = cold.sepsets;
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t b = a + 1; b < n; ++b) {
+      if (cold.pag.HasEdge(a, b) || !constraints.EdgeAllowed(a, b)) {
+        warm_sets.Set(a, b, {});
+      }
+    }
+  }
+  SkeletonWarmStart warm;
+  warm.graph = &cold.pag;
+  warm.sepsets = &warm_sets;
+  warm.pair_dirty = &half_dirty;
+  const FciResult mixed = RunFci(test, constraints, n, options, warm);
+  EXPECT_GT(mixed.tests_performed, 0);
+
+  size_t clean_sets = 0;
+  size_t dirty_sets = 0;
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t b = a + 1; b < n; ++b) {
+      const auto set = mixed.sepsets.Get(a, b);
+      const bool edge = mixed.pag.HasEdge(a, b);
+      if (!constraints.EdgeAllowed(a, b)) {
+        EXPECT_FALSE(edge) << a << "," << b;
+        EXPECT_FALSE(set.has_value()) << a << "," << b;
+      } else if (half_dirty[a * n + b] == 0) {
+        EXPECT_EQ(edge, cold.pag.HasEdge(a, b)) << a << "," << b;
+        EXPECT_TRUE(set == cold.sepsets.Get(a, b)) << a << "," << b;
+        clean_sets += set.has_value() ? 1 : 0;
+      } else {
+        EXPECT_EQ(set.has_value(), !edge) << a << "," << b;
+        dirty_sets += set.has_value() ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(clean_sets, 0u);
+  EXPECT_GT(dirty_sets, 0u);
 }
 
 TEST(CICacheTest, KeyNormalizationAndCounters) {

@@ -68,13 +68,13 @@ FciOptions PdsHeavyOptions() {
 ::testing::AssertionResult SameSepsets(const SepsetMap& a, const SepsetMap& b, size_t n) {
   for (size_t x = 0; x < n; ++x) {
     for (size_t y = x + 1; y < n; ++y) {
-      const auto* sa = a.Get(x, y);
-      const auto* sb = b.Get(x, y);
-      if ((sa == nullptr) != (sb == nullptr)) {
+      const auto sa = a.Get(x, y);
+      const auto sb = b.Get(x, y);
+      if (sa.has_value() != sb.has_value()) {
         return ::testing::AssertionFailure()
                << "sepset presence differs at (" << x << ", " << y << ")";
       }
-      if (sa != nullptr && *sa != *sb) {
+      if (sa.has_value() && *sa != *sb) {
         return ::testing::AssertionFailure()
                << "sepset contents differ at (" << x << ", " << y << ")";
       }

@@ -2,20 +2,151 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace unicorn {
 namespace {
 
+std::vector<size_t> Members(const std::optional<SepsetView>& s) {
+  return s.has_value() ? std::vector<size_t>(s->begin(), s->end()) : std::vector<size_t>{};
+}
+
 TEST(SepsetTest, SetGetSymmetric) {
   SepsetMap m;
   m.Set(3, 1, {5, 2});
-  const auto* s = m.Get(1, 3);
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(*s, (std::vector<size_t>{2, 5}));  // stored sorted
+  const auto s = m.Get(1, 3);
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(Members(s), (std::vector<size_t>{2, 5}));  // stored sorted
   EXPECT_TRUE(m.Contains(1, 3, 5));
   EXPECT_FALSE(m.Contains(1, 3, 7));
-  EXPECT_EQ(m.Get(0, 1), nullptr);
+  EXPECT_FALSE(m.Get(0, 1).has_value());
+}
+
+TEST(SepsetTest, UntouchedPairIsAbsentInsideAndPastTheTable) {
+  const SepsetMap sized(10);
+  EXPECT_FALSE(sized.Get(2, 7).has_value());
+  EXPECT_FALSE(sized.Get(9, 8).has_value());
+  EXPECT_FALSE(sized.Get(40, 3).has_value());  // beyond the sized table
+  EXPECT_FALSE(sized.Contains(2, 7, 0));
+  const SepsetMap empty;
+  EXPECT_FALSE(empty.Get(0, 1).has_value());
+  EXPECT_FALSE(empty.Contains(5, 6, 1));
+}
+
+TEST(SepsetTest, EmptySetIsRecordedAndDistinctFromAbsent) {
+  SepsetMap m(4);
+  m.Set(0, 2, {});
+  const auto s = m.Get(2, 0);
+  ASSERT_TRUE(s.has_value());
+  EXPECT_TRUE(s->empty());
+  EXPECT_FALSE(m.Contains(0, 2, 1));
+  EXPECT_FALSE(m.Get(0, 3).has_value());
+}
+
+TEST(SepsetTest, EraseAndOverwrite) {
+  SepsetMap m(6);
+  m.Set(1, 4, {3, 0, 2});
+  m.Set(0, 5, {1});
+  m.Set(4, 1, {5});  // overwrite with a shorter set
+  EXPECT_EQ(Members(m.Get(1, 4)), (std::vector<size_t>{5}));
+  m.Set(1, 4, {3, 2, 0, 5});  // and with a longer one
+  EXPECT_EQ(Members(m.Get(4, 1)), (std::vector<size_t>{0, 2, 3, 5}));
+  m.Erase(4, 1);
+  EXPECT_FALSE(m.Get(1, 4).has_value());
+  EXPECT_FALSE(m.Contains(1, 4, 3));
+  m.Erase(2, 3);   // never set: no-op
+  m.Erase(7, 30);  // past the table: no-op
+  EXPECT_EQ(Members(m.Get(0, 5)), (std::vector<size_t>{1}));
+  m.Set(1, 4, {2});
+  EXPECT_EQ(Members(m.Get(1, 4)), (std::vector<size_t>{2}));
+}
+
+TEST(SepsetTest, CopyIsIndependent) {
+  SepsetMap m(5);
+  m.Set(0, 1, {2, 3});
+  m.Set(2, 4, {});
+  SepsetMap copy = m;
+  m.Set(0, 1, {4});
+  m.Erase(2, 4);
+  m.Set(1, 3, {0});
+  EXPECT_EQ(Members(copy.Get(0, 1)), (std::vector<size_t>{2, 3}));
+  EXPECT_TRUE(copy.Get(2, 4).has_value());
+  EXPECT_FALSE(copy.Get(1, 3).has_value());
+  EXPECT_TRUE(*copy.Get(0, 1) != *m.Get(0, 1));
+  copy = m;
+  EXPECT_TRUE(*copy.Get(0, 1) == *m.Get(0, 1));
+  EXPECT_FALSE(copy.Get(2, 4).has_value());
+}
+
+TEST(SepsetTest, GrowsPastTheSizedTable) {
+  SepsetMap m(3);
+  m.Set(0, 2, {1});
+  m.Set(17, 5, {3, 1});  // pair far past the 3-variable table
+  m.Set(40, 39, {2});
+  EXPECT_EQ(Members(m.Get(0, 2)), (std::vector<size_t>{1}));  // survives growth
+  EXPECT_EQ(Members(m.Get(5, 17)), (std::vector<size_t>{1, 3}));
+  EXPECT_EQ(Members(m.Get(39, 40)), (std::vector<size_t>{2}));
+  EXPECT_FALSE(m.Get(16, 17).has_value());
+  EXPECT_FALSE(m.Get(38, 40).has_value());
+}
+
+// Seeded Set/Erase churn against an ordered-map reference: every live set
+// must survive the arena compactions, and right after each Set the arena
+// holds at most twice the live members.
+TEST(SepsetTest, ChurnKeepsLiveSetsAndBoundsTheArena) {
+  Rng rng(17);
+  constexpr size_t kVars = 30;
+  SepsetMap m(kVars);
+  std::map<std::pair<size_t, size_t>, std::vector<size_t>> reference;
+  size_t live = 0;
+  size_t max_arena = 0;
+  for (int step = 0; step < 20000; ++step) {
+    size_t a = rng.UniformInt(kVars);
+    size_t b = rng.UniformInt(kVars);
+    if (a == b) {
+      continue;
+    }
+    if (a > b) {
+      std::swap(a, b);
+    }
+    const auto it = reference.find({a, b});
+    if (it != reference.end()) {
+      live -= it->second.size();
+      reference.erase(it);
+    }
+    if (rng.Uniform() < 0.4) {
+      m.Erase(a, b);
+      continue;
+    }
+    std::vector<size_t> s;
+    const size_t size = rng.UniformInt(4);
+    for (size_t k = 0; k < size; ++k) {
+      s.push_back(rng.UniformInt(kVars));
+    }
+    std::sort(s.begin(), s.end());
+    m.Set(b, a, s);
+    live += s.size();
+    reference[{a, b}] = s;
+    ASSERT_LE(m.arena_size(), 2 * live) << "step " << step;
+    max_arena = std::max(max_arena, m.arena_size());
+  }
+  for (size_t a = 0; a < kVars; ++a) {
+    for (size_t b = a + 1; b < kVars; ++b) {
+      const auto it = reference.find({a, b});
+      const auto s = m.Get(a, b);
+      ASSERT_EQ(s.has_value(), it != reference.end()) << a << "," << b;
+      if (s.has_value()) {
+        EXPECT_EQ(Members(s), it->second) << a << "," << b;
+      }
+    }
+  }
+  // 435 pairs with at most 3 members each bound the live members.
+  EXPECT_LE(max_arena, 2 * 3 * kVars * (kVars - 1) / 2);
 }
 
 TEST(SubsetsTest, SizeZero) {
@@ -96,8 +227,7 @@ TEST(SkeletonTest, SepsetRecordedForRemovedEdge) {
   const CompositeTest test(data);
   const SkeletonResult result = LearnSkeleton(test, constraints, data.NumVars());
   // o0 and y are separated by e0.
-  const auto* sepset = result.sepsets.Get(0, 4);
-  ASSERT_NE(sepset, nullptr);
+  ASSERT_TRUE(result.sepsets.Get(0, 4).has_value());
   EXPECT_TRUE(result.sepsets.Contains(0, 4, 3));
 }
 
