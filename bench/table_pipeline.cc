@@ -17,9 +17,8 @@
 //       fingerprints and per-policy results must equal the synchronous
 //       RunGrouped oracle's, and the binary exits non-zero on divergence or
 //       (full mode) on speedup < 1.8x.
-//   (b) refresh-thread sweep — pipelined wall at refresh_threads {1,4} x
-//       pin_refresh_threads {off,on} (ThreadPool::Options::pin_threads),
-//       all bit-identical to the oracle.
+//   (b) refresh-thread sweep — pipelined wall at refresh_threads {1,4},
+//       both bit-identical to the oracle.
 //   (c) UNICTBL1 ingest stress — a >10^6-row binary table written with the
 //       streaming BinaryTableWriter, mmap'd zero-copy (BinaryTableView) and
 //       seeded into an engine via SeedFromFile, with load-time and peak-RSS
@@ -271,12 +270,10 @@ enum class Mode { kSync, kBarrier, kPipelined };
 // synchronous RunGrouped loop on a plain pool broker (the fast oracle — same
 // rows: harness measurement is pure per configuration); the other modes run
 // RunAsyncGrouped over the sleeping fleet with pipeline off/on.
-RunOutcome RunCampaign(const Setup& s, bool smoke, Mode mode, int refresh_threads,
-                       bool pin) {
+RunOutcome RunCampaign(const Setup& s, bool smoke, Mode mode, int refresh_threads) {
   CampaignOptions campaign = ToCampaignOptions(HeavyOptions(smoke, 0));
   campaign.refresh_threads = refresh_threads;
   campaign.pipeline = mode == Mode::kPipelined;
-  campaign.pin_refresh_threads = pin;
 
   std::unique_ptr<CampaignRunner> runner;
   if (mode == Mode::kSync) {
@@ -457,7 +454,7 @@ int RunStudy(bool smoke, const std::string& json_path, const std::string& trace_
   bool all_identical = true;
 
   // The oracle: synchronous RunGrouped, plain broker, no sleep.
-  const RunOutcome oracle = RunCampaign(s, smoke, Mode::kSync, 1, false);
+  const RunOutcome oracle = RunCampaign(s, smoke, Mode::kSync, 1);
   std::printf("sync oracle: %.2fs (%lld CI tests)\n", oracle.wall_s,
               oracle.signature.tests_requested);
 
@@ -465,8 +462,8 @@ int RunStudy(bool smoke, const std::string& json_path, const std::string& trace_
   // worker for the headline: on a single visible core a wider refresh pool
   // only time-slices the same CPU (the sweep's rt=4 cells show the
   // cross-policy coalescing); what rt=1 already buys is the overlap.
-  const RunOutcome barrier = RunCampaign(s, smoke, Mode::kBarrier, 1, false);
-  const RunOutcome pipelined = RunCampaign(s, smoke, Mode::kPipelined, 1, false);
+  const RunOutcome barrier = RunCampaign(s, smoke, Mode::kBarrier, 1);
+  const RunOutcome pipelined = RunCampaign(s, smoke, Mode::kPipelined, 1);
   const bool barrier_ok = barrier.signature.Matches(oracle.signature);
   const bool pipelined_ok = pipelined.signature.Matches(oracle.signature);
   all_identical = all_identical && barrier_ok && pipelined_ok;
@@ -537,7 +534,7 @@ int RunStudy(bool smoke, const std::string& json_path, const std::string& trace_
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   });
-  const RunOutcome traced = RunCampaign(s, smoke, Mode::kPipelined, 1, false);
+  const RunOutcome traced = RunCampaign(s, smoke, Mode::kPipelined, 1);
   sampling.store(false, std::memory_order_relaxed);
   sampler.join();
   obs::trace::SetEnabled(false);
@@ -596,42 +593,34 @@ int RunStudy(bool smoke, const std::string& json_path, const std::string& trace_
   }
 
   // (b) refresh-thread sweep, pipelined. Runs at smoke scale — its gates are
-  // bit-identity and the coalescing/overlap ledger across thread counts and
-  // pinning, not end-to-end timing, and four full-scale runs would dominate
-  // the bench wall. In smoke mode the campaign IS smoke scale, so the
-  // headline oracle and the rt=4/pin=off run are reused directly.
+  // bit-identity and the coalescing/overlap ledger across thread counts, not
+  // end-to-end timing, and full-scale runs would dominate the bench wall. In
+  // smoke mode the campaign IS smoke scale, so the headline oracle and the
+  // headline pipelined run (rt=1) are reused directly.
   std::printf("\n=== (b) refresh-thread sweep (pipelined, %s scale) ===\n",
               smoke ? "same" : "reduced");
   const Setup sweep_setup = smoke ? Setup{} : MakeSetup(true);
   const Setup& ss = smoke ? s : sweep_setup;
-  const RunOutcome sweep_oracle =
-      smoke ? oracle : RunCampaign(ss, true, Mode::kSync, 1, false);
-  TextTable sweep({"refresh_threads", "pinned", "wall(s)", "overlap(s)",
-                   "widest x-policy batch", "bit-identical"});
+  const RunOutcome sweep_oracle = smoke ? oracle : RunCampaign(ss, true, Mode::kSync, 1);
+  TextTable sweep({"refresh_threads", "wall(s)", "overlap(s)", "widest x-policy batch",
+                   "bit-identical"});
   size_t widest_any = pipelined.pool.widest_cross_policy_batch;
   for (const int rt : {1, 4}) {
-    for (const bool pin : {false, true}) {
-      RunOutcome run;
-      if (smoke && rt == 1 && !pin) {
-        run = pipelined;
-      } else {
-        run = RunCampaign(ss, true, Mode::kPipelined, rt, pin);
-      }
-      const bool ok = run.signature.Matches(sweep_oracle.signature);
-      all_identical = all_identical && ok;
-      widest_any = std::max(widest_any, run.pool.widest_cross_policy_batch);
-      sweep.AddRow({std::to_string(rt), pin ? "yes" : "no", FormatDouble(run.wall_s, 2),
-                    FormatDouble(run.pool.overlap_seconds, 2),
-                    std::to_string(run.pool.widest_cross_policy_batch),
-                    ok ? "yes" : "NO (bug)"});
-      const std::string section =
-          "sweep_rt" + std::to_string(rt) + (pin ? "_pinned" : "_unpinned");
-      json.Add(section, "wall_seconds", run.wall_s);
-      json.Add(section, "overlap_seconds", run.pool.overlap_seconds);
-      json.Add(section, "widest_cross_policy_batch",
-               static_cast<double>(run.pool.widest_cross_policy_batch));
-      json.Add(section, "bit_identical", ok ? 1.0 : 0.0);
-    }
+    const RunOutcome run =
+        smoke && rt == 1 ? pipelined : RunCampaign(ss, true, Mode::kPipelined, rt);
+    const bool ok = run.signature.Matches(sweep_oracle.signature);
+    all_identical = all_identical && ok;
+    widest_any = std::max(widest_any, run.pool.widest_cross_policy_batch);
+    sweep.AddRow({std::to_string(rt), FormatDouble(run.wall_s, 2),
+                  FormatDouble(run.pool.overlap_seconds, 2),
+                  std::to_string(run.pool.widest_cross_policy_batch),
+                  ok ? "yes" : "NO (bug)"});
+    const std::string section = "sweep_rt" + std::to_string(rt);
+    json.Add(section, "wall_seconds", run.wall_s);
+    json.Add(section, "overlap_seconds", run.pool.overlap_seconds);
+    json.Add(section, "widest_cross_policy_batch",
+             static_cast<double>(run.pool.widest_cross_policy_batch));
+    json.Add(section, "bit_identical", ok ? 1.0 : 0.0);
   }
   std::printf("%s", sweep.Render().c_str());
 

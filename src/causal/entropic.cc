@@ -155,7 +155,7 @@ void ResolveWithEntropy(const DataTable& data, const StructuralConstraints& cons
       FreshPair& fp = fresh[i];
       fp.decision = DecideEdgeDirection(*coded[fp.a], *coded[fp.b], options, &fp.rng);
     };
-    if (pool != nullptr && pool->num_threads() > 1) {
+    if (pool != nullptr) {
       pool->ParallelFor(vars.size(), code_var);
       pool->ParallelFor(fresh.size(), score_pair);
     } else {

@@ -231,10 +231,6 @@ struct CampaignOptions {
   /// refresh trigger points, same rows in the same order (pinned by
   /// tests/pipeline_scheduler_test.cc).
   bool pipeline = true;
-  /// Pin the asynchronous refresh workers to CPUs (see
-  /// ShardPoolOptions::pin_refresh_threads). Performance hint, off by
-  /// default; bit-identity is unaffected.
-  bool pin_refresh_threads = false;
 };
 
 /// Owns the reasoning plane (an EngineShardPool: per-objective-group engine

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <exception>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -37,14 +38,7 @@ const PoolMetrics& Metrics() {
 EngineShardPool::EngineShardPool(std::vector<Variable> variables, ShardPoolOptions options)
     : variables_(std::move(variables)),
       options_(std::move(options)),
-      shared_cache_(options_.shared_cache_entries) {
-  if (options_.refresh_threads > 1) {
-    ThreadPool::Options pool_options;
-    pool_options.num_threads = options_.refresh_threads;
-    pool_options.name = "refresh";
-    refresh_pool_ = std::make_unique<ThreadPool>(pool_options);
-  }
-}
+      shared_cache_(options_.shared_cache_entries) {}
 
 size_t EngineShardPool::ShardForGroup(const std::string& group) {
   const auto it = group_index_.find(group);
@@ -70,6 +64,9 @@ size_t EngineShardPool::ShardForGroup(const std::string& group) {
 }
 
 void EngineShardPool::RefreshShards(std::vector<size_t> shards, uint64_t seed) {
+  if (PendingAsyncRefreshes() > 0) {
+    throw std::logic_error("EngineShardPool::RefreshShards: asynchronous refreshes outstanding");
+  }
   // Dedup (two policies of one group may both mark their shard dirty) and
   // drop empty shards — a refresh needs at least one row.
   std::sort(shards.begin(), shards.end());
@@ -86,24 +83,24 @@ void EngineShardPool::RefreshShards(std::vector<size_t> shards, uint64_t seed) {
   span.SetArg("shards", static_cast<double>(shards.size()));
   Metrics().refresh_batches->Increment();
   const auto start = Clock::now();
-  if (shards.size() == 1 || refresh_pool_ == nullptr) {
+  const size_t width = static_cast<size_t>(std::max(1, options_.refresh_threads));
+  if (shards.size() == 1 || width == 1) {
     for (const size_t s : shards) {
       shard(s).Refresh(seed);
     }
   } else {
-    // Fan the dirty shards out over the refresh pool. Engines are mutually
-    // independent and the shared cache is concurrent, so the only cross-item
-    // coupling is memoization — pure, deterministic reuse. Exceptions are
-    // captured per item and the first one rethrown after the barrier
-    // (ParallelFor must never unwind from a worker thread).
+    // Engines are mutually independent and the shared cache is concurrent,
+    // so the only cross-shard coupling is memoization — pure, deterministic
+    // reuse. The token is the shard's batch position, so the rethrown error
+    // is the first in shard order whatever order the refreshes finish in.
+    for (size_t i = 0; i < shards.size(); ++i) {
+      StartRefreshAsync(shards[i], seed, i);
+    }
     std::vector<std::exception_ptr> errors(shards.size());
-    refresh_pool_->ParallelFor(shards.size(), [&](size_t i) {
-      try {
-        shard(shards[i]).Refresh(seed);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
+    ShardRefreshDone done;
+    while (WaitRefreshDone(&done)) {
+      errors[done.token] = done.error;
+    }
     for (const std::exception_ptr& error : errors) {
       if (error != nullptr) {
         std::rethrow_exception(error);
@@ -115,20 +112,13 @@ void EngineShardPool::RefreshShards(std::vector<size_t> shards, uint64_t seed) {
   // actually ran it — a serial pool refreshing 16 dirty shards must report
   // 1, not 16, or the bench's no-serialization acceptance check would pass
   // on a regressed (serialized) refresh path.
-  const size_t concurrency = std::min(
-      shards.size(),
-      static_cast<size_t>(refresh_pool_ != nullptr ? refresh_pool_->num_threads() : 1));
-  max_concurrent_ = std::max(max_concurrent_, concurrency);
+  max_concurrent_ = std::max(max_concurrent_, std::min(shards.size(), width));
   batch_wall_seconds_ += std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 void EngineShardPool::StartRefreshAsync(size_t shard_index, uint64_t seed, uint64_t token) {
-  if (async_pool_ == nullptr) {
-    TaskPool::Options pool_options;
-    pool_options.num_threads = options_.refresh_threads < 1 ? 1 : options_.refresh_threads;
-    pool_options.pin_threads = options_.pin_refresh_threads;
-    pool_options.name = "refresh";
-    async_pool_ = std::make_unique<TaskPool>(pool_options);
+  if (refresh_pool_ == nullptr) {
+    refresh_pool_ = std::make_unique<ThreadPool>(std::max(1, options_.refresh_threads), "refresh");
   }
   {
     std::lock_guard<std::mutex> lock(async_mu_);
@@ -150,7 +140,7 @@ void EngineShardPool::StartRefreshAsync(size_t shard_index, uint64_t seed, uint6
   // stalls for the whole backlog. Cross-shard dispatch order carries no
   // semantics — each shard's own refresh stream stays FIFO via `pending`.
   const int64_t priority = -static_cast<int64_t>(shard(shard_index).data().NumRows());
-  async_pool_->Submit(
+  refresh_pool_->Submit(
       [this, shard_index, seed, token] { RunAsyncRefresh(shard_index, seed, token); },
       priority);
 }
@@ -244,7 +234,7 @@ void EngineShardPool::RunAsyncRefresh(size_t shard_index, uint64_t seed, uint64_
     // shortest-job-first priority as StartRefreshAsync (the shard is
     // quiescent between chained refreshes, so the row count is stable).
     const int64_t priority = -static_cast<int64_t>(shard(shard_index).data().NumRows());
-    async_pool_->Submit(
+    refresh_pool_->Submit(
         [this, shard_index, next_seed, next_token] {
           RunAsyncRefresh(shard_index, next_seed, next_token);
         },

@@ -62,9 +62,6 @@ struct ShardPoolOptions {
   // pure memoization, so eviction costs re-evaluation, never correctness.
   // Only meaningful with share_ci_cache.
   size_t shared_cache_entries = 1 << 18;
-  // Pin the asynchronous refresh workers to CPUs (ThreadPool::Options::
-  // pin_threads). Off by default; a performance hint only.
-  bool pin_refresh_threads = false;
 };
 
 // Fleet-style aggregate over every shard's EngineStats, plus the pool-level
@@ -87,18 +84,22 @@ struct ShardPoolStats {
   size_t refresh_batches = 0;
   size_t max_concurrent_refreshes = 0;
   double batch_wall_seconds = 0.0;
-  // Asynchronous-refresh ledger (StartRefreshAsync, the pipelined campaign
-  // scheduler's path). `widest_cross_policy_batch` is the most asynchronous
-  // shard refreshes ever observed running at once — each running job is a
-  // distinct shard (per-shard FIFO serialization), i.e. a distinct objective
-  // group, so this is exactly the widest cross-policy refresh batch the
-  // coalescing achieved. `overlap_seconds` is engine-internal refresh time
-  // spent while the registered in-flight gauge (SetInFlightGauge: the
+  // Refresh-worker ledger, fed by every refresh that runs on the pool's
+  // workers: StartRefreshAsync (the pipelined campaign scheduler's path)
+  // and the multi-shard batches of RefreshShards, which start theirs the
+  // same way. `widest_cross_policy_batch` is the most shard refreshes ever
+  // observed running at once on the workers — each running job is a
+  // distinct shard (per-shard FIFO serialization), i.e. a distinct
+  // objective group, so this is exactly the widest cross-policy refresh
+  // batch the pool achieved. `overlap_seconds` is engine-internal refresh
+  // time spent while the registered in-flight gauge (SetInFlightGauge: the
   // scheduler's count of measurement rows on the fleet) was nonzero —
   // refresh compute hidden behind device service time. Sampled at job start
   // and end (trapezoid), so it is a coarse estimate, not an integral; it is
   // always <= refresh_seconds (clamped against float rounding), so
-  // overlap_seconds / refresh_seconds is a true fraction.
+  // overlap_seconds / refresh_seconds is a true fraction. Without a
+  // registered gauge (every caller but the pipelined scheduler) a refresh
+  // earns no overlap.
   size_t widest_cross_policy_batch = 0;
   double overlap_seconds = 0.0;
 
@@ -127,19 +128,20 @@ struct ShardRefreshDone {
 //
 // Thread-safety: shard creation and RefreshShards are driven by one thread
 // (the campaign runner); the concurrency lives *inside* RefreshShards, which
-// fans the listed shards out over the pool's threads. Different shards may
-// also be refreshed concurrently by external threads as long as no shard is
-// refreshed twice at once — engines never touch each other, and the shared
-// cache is concurrent. Shard references stay valid for the pool's lifetime.
+// fans the listed shards out over the pool's refresh workers. Different
+// shards may also be refreshed concurrently by external threads as long as no
+// shard is refreshed twice at once — engines never touch each other, and the
+// shared cache is concurrent. Shard references stay valid for the pool's
+// lifetime.
 class EngineShardPool {
  public:
   EngineShardPool(std::vector<Variable> variables, ShardPoolOptions options = {});
 
-  // Joins the async refresh workers before the members they signal go away:
-  // async_pool_ is declared above async_mu_/async_cv_, so the default
+  // Joins the refresh workers before the members they signal go away:
+  // refresh_pool_ is declared above async_mu_/async_cv_, so the default
   // reverse-order destruction would tear down the condition variable while a
   // worker could still be inside its final notify_all.
-  ~EngineShardPool() { async_pool_.reset(); }
+  ~EngineShardPool() { refresh_pool_.reset(); }
 
   // Index of the shard owning `group`, creating the shard on first use.
   // Must not be called while asynchronous refreshes are outstanding (shard
@@ -153,22 +155,28 @@ class EngineShardPool {
 
   CICache& shared_cache() { return shared_cache_; }
 
-  // Refreshes every listed shard with `seed`, in parallel on the pool's
-  // refresh threads. Shards without rows are skipped (same guard the
-  // single-engine runner applied); duplicate indices are refreshed once.
-  // Failure: exceptions from a shard refresh propagate; other shards of the
-  // batch may or may not have refreshed.
+  // Refreshes every listed shard with `seed` and returns when all are done.
+  // Shards without rows are skipped (same guard the single-engine runner
+  // applied); duplicate indices are refreshed once. One shard, or a pool
+  // with refresh_threads <= 1, refreshes inline on the calling thread;
+  // a wider batch starts every shard with StartRefreshAsync and waits for
+  // their done events, so it runs refresh_threads wide.
+  // Precondition: no asynchronous refresh is outstanding (their done events
+  // would mix with the batch's); otherwise throws std::logic_error.
+  // Failure: after the whole batch finished, the error of the first failed
+  // shard (in shard order) is rethrown; the other shards did refresh.
   void RefreshShards(std::vector<size_t> shards, uint64_t seed);
 
   // --- asynchronous refreshes (the pipelined campaign scheduler) -----------
   //
   // StartRefreshAsync enqueues one shard refresh and returns immediately;
-  // the refresh runs on a dedicated worker pool (refresh_threads workers,
-  // created lazily), and completion surfaces as a ShardRefreshDone carrying
-  // the caller's `token`. Same-shard requests are serialized in FIFO order
-  // (a shard never refreshes twice at once; its seeds apply in submission
-  // order), while requests for distinct shards run concurrently — that
-  // concurrency is the cross-policy refresh coalescing the ledger reports.
+  // the refresh runs on the pool's refresh workers (max(1, refresh_threads)
+  // of them, created lazily), and completion surfaces as a ShardRefreshDone
+  // carrying the caller's `token`. Same-shard requests are serialized in
+  // FIFO order (a shard never refreshes twice at once; its seeds apply in
+  // submission order), while requests for distinct shards run concurrently —
+  // that concurrency is the cross-policy refresh coalescing the ledger
+  // reports.
   // An empty shard skips the engine refresh but still delivers its done
   // event (mirroring RefreshShards' guard).
   //
@@ -218,7 +226,6 @@ class EngineShardPool {
   std::vector<Variable> variables_;
   ShardPoolOptions options_;
   CICache shared_cache_;
-  std::unique_ptr<ThreadPool> refresh_pool_;
   std::vector<std::unique_ptr<CausalModelEngine>> shards_;
   std::vector<std::string> groups_;
   std::unordered_map<std::string, size_t> group_index_;
@@ -228,7 +235,7 @@ class EngineShardPool {
   double batch_wall_seconds_ = 0.0;
 
   // Asynchronous refresh plumbing (see the async section above).
-  std::unique_ptr<TaskPool> async_pool_;  // lazily created
+  std::unique_ptr<ThreadPool> refresh_pool_;  // lazily created
   mutable std::mutex async_mu_;
   std::condition_variable async_cv_;      // done event available
   std::unordered_map<size_t, AsyncShardState> async_shards_;

@@ -49,10 +49,9 @@ CausalModelEngine::CausalModelEngine(std::vector<Variable> variables,
       moments_(data_.NumVars()) {
   stats_.pairs_total = data_.NumVars() * (data_.NumVars() - 1) / 2;
   if (engine_options_.num_threads > 1) {
-    ThreadPoolOptions pool_options;
-    pool_options.num_threads = engine_options_.num_threads;
-    pool_options.name = "engine";
-    pool_ = std::make_unique<ThreadPool>(pool_options);
+    // The calling thread runs sweep items too, so num_threads - 1 workers
+    // make a num_threads-wide sweep.
+    pool_ = std::make_unique<ThreadPool>(engine_options_.num_threads - 1, "engine");
   }
 }
 

@@ -1,225 +1,66 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <fstream>
-#include <set>
-#include <string>
+#include <atomic>
+#include <limits>
+#include <memory>
 #include <utility>
 
 #include "obs/trace.h"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace unicorn {
 
 namespace {
 
-// Best-effort pin of `thread` to the one logical CPU chosen by PlanPinning.
-// Failure (mask raced with a cgroup change, exotic topology) is silently
-// ignored — affinity is a performance hint, never a correctness dependency.
-void PinToCpu(std::thread& thread, int cpu) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(cpu), &set);
-  pthread_setaffinity_np(thread.native_handle(), sizeof(set), &set);
-#else
-  (void)thread;
-  (void)cpu;
-#endif
-}
+// One ParallelFor call's shared state. Owned jointly by the caller and every
+// helper task, so a helper that runs after the caller returned still has a
+// live counter to find exhausted.
+struct ParallelForBatch {
+  const std::function<void(size_t)>* body = nullptr;
+  size_t count = 0;
+  std::atomic<size_t> next{0};
+  std::mutex mu;
+  std::condition_variable done_cv;
+  size_t finished = 0;  // items completed, under mu
 
-#if defined(__linux__)
-// One sysfs topology integer ("core_id", "physical_package_id"), or -1.
-int ReadTopologyId(int cpu, const char* leaf) {
-  std::ifstream in("/sys/devices/system/cpu/cpu" + std::to_string(cpu) + "/topology/" + leaf);
-  int value = -1;
-  in >> value;
-  return in ? value : -1;
-}
-#endif
+  // Pulls and runs items until the counter is exhausted. `body` is called
+  // only for a claimed item, and every claimed item is finished before the
+  // caller may return, so it never dangles. Both fields are read once into
+  // locals: they share a cache line with the contended counter.
+  void Run() {
+    const size_t n = count;
+    const std::function<void(size_t)>* const f = body;
+    size_t ran = 0;
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      (*f)(i);
+      ++ran;
+    }
+    if (ran > 0) {
+      std::lock_guard<std::mutex> lock(mu);
+      finished += ran;
+      if (finished == count) {
+        done_cv.notify_all();
+      }
+    }
+  }
+};
 
 }  // namespace
 
-CpuTopology DetectCpuTopology() {
-  CpuTopology topo;
-#if defined(__linux__)
-  cpu_set_t mask;
-  CPU_ZERO(&mask);
-  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) {
-    topo.logical_cpus = static_cast<int>(std::thread::hardware_concurrency());
-    return topo;
-  }
-  // Distinct (package, core) pairs over the *allowed* CPUs only: a
-  // cgroup-restricted container must plan against its slice, not the host.
-  std::set<std::pair<int, int>> cores;
-  bool structure_known = true;
-  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-    if (!CPU_ISSET(cpu, &mask)) {
-      continue;
-    }
-    ++topo.logical_cpus;
-    const int core = ReadTopologyId(cpu, "core_id");
-    if (core < 0) {
-      structure_known = false;
-      continue;
-    }
-    const int package = std::max(0, ReadTopologyId(cpu, "physical_package_id"));
-    if (cores.insert({package, core}).second) {
-      topo.core_leaders.push_back(cpu);  // first allowed CPU seen on the core
-    }
-  }
-  if (structure_known && !cores.empty()) {
-    topo.physical_cores = static_cast<int>(cores.size());
-    topo.smt_siblings = topo.logical_cpus > topo.physical_cores;
-  } else {
-    topo.core_leaders.clear();  // partial structure: don't pretend to know it
-  }
-#else
-  topo.logical_cpus = static_cast<int>(std::thread::hardware_concurrency());
-#endif
-  return topo;
-}
-
-std::vector<int> PlanPinning(const CpuTopology& topo, int total_threads) {
-  // Pin only when every pool thread can own a whole physical core. With more
-  // threads than cores a pinned thread cannot migrate away from the
-  // contention it causes, and the OS scheduler beats any static placement —
-  // the measured pin_threads regression on small containers.
-  if (topo.physical_cores <= 0 || total_threads <= 0 || total_threads > topo.physical_cores) {
-    return {};
-  }
-  return topo.core_leaders;
-}
-
-namespace {
-
-// Trace-plane worker label: "<pool>/<index>", applied on the worker itself
-// before it starts pulling work. A copy of the name is captured — the
-// Options object does not outlive construction.
-void NameWorker(const std::string& pool_name, int index) {
-  if (!pool_name.empty()) {
-    obs::trace::SetThreadName(pool_name + "/" + std::to_string(index));
-  }
-}
-
-}  // namespace
-
-ThreadPool::ThreadPool(int num_threads) : ThreadPool(Options{num_threads, false, {}}) {}
-
-ThreadPool::ThreadPool(const Options& options) {
-  const int workers = options.num_threads - 1;
-  // The caller participates in every batch, so the plan must cover
-  // workers + 1 busy threads; leaders[0] is left to the (unpinned) caller.
-  std::vector<int> plan;
-  if (options.pin_threads && workers > 0) {
-    plan = PlanPinning(DetectCpuTopology(), options.num_threads);
-  }
+ThreadPool::ThreadPool(int workers, std::string name) {
   for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, name = options.name, i] {
-      NameWorker(name, i);
+    workers_.emplace_back([this, name, i] {
+      // Trace-plane label, applied on the worker before it pulls work.
+      if (!name.empty()) {
+        obs::trace::SetThreadName(name + "/" + std::to_string(i));
+      }
       WorkerLoop();
     });
-    if (!plan.empty()) {
-      PinToCpu(workers_.back(), plan[static_cast<size_t>(i + 1) % plan.size()]);
-      ++pinned_workers_;
-    }
   }
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& w : workers_) {
-    w.join();
-  }
-}
-
-void ThreadPool::RunBatch() {
-  const std::function<void(size_t)>& body = *body_;
-  const size_t count = count_;
-  while (true) {
-    const size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= count) {
-      break;
-    }
-    body(i);
-  }
-}
-
-void ThreadPool::WorkerLoop() {
-  uint64_t seen_generation = 0;
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return stop_ || generation_ != seen_generation; });
-      if (stop_) {
-        return;
-      }
-      seen_generation = generation_;
-    }
-    RunBatch();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--active_ == 0) {
-        done_cv_.notify_all();
-      }
-    }
-  }
-}
-
-void ThreadPool::ParallelFor(size_t count, const std::function<void(size_t)>& body) {
-  if (count == 0) {
-    return;
-  }
-  if (workers_.empty() || count == 1) {
-    for (size_t i = 0; i < count; ++i) {
-      body(i);
-    }
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    body_ = &body;
-    count_ = count;
-    next_.store(0, std::memory_order_relaxed);
-    active_ = workers_.size();
-    ++generation_;
-  }
-  work_cv_.notify_all();
-  RunBatch();  // the caller pulls items too
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return active_ == 0; });
-  body_ = nullptr;
-}
-
-TaskPool::TaskPool(const Options& options) {
-  const int workers = options.num_threads < 1 ? 1 : options.num_threads;
-  // Unlike ThreadPool the caller never runs tasks, so the plan covers
-  // exactly the workers.
-  std::vector<int> plan;
-  if (options.pin_threads) {
-    plan = PlanPinning(DetectCpuTopology(), workers);
-  }
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, name = options.name, i] {
-      NameWorker(name, i);
-      WorkerLoop();
-    });
-    if (!plan.empty()) {
-      PinToCpu(workers_.back(), plan[static_cast<size_t>(i) % plan.size()]);
-      ++pinned_workers_;
-    }
-  }
-}
-
-TaskPool::~TaskPool() {
   Drain();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -232,14 +73,18 @@ TaskPool::~TaskPool() {
 }
 
 // Heap "less": the top is the highest priority, earliest submission on ties.
-bool TaskPool::TaskAfter(const QueuedTask& a, const QueuedTask& b) {
+bool ThreadPool::TaskAfter(const QueuedTask& a, const QueuedTask& b) {
   if (a.priority != b.priority) {
     return a.priority < b.priority;
   }
   return a.seq > b.seq;
 }
 
-void TaskPool::Submit(std::function<void()> task, int64_t priority) {
+void ThreadPool::Submit(std::function<void()> task, int64_t priority) {
+  if (workers_.empty()) {
+    task();
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     tasks_.push_back(QueuedTask{priority, next_seq_++, std::move(task)});
@@ -248,12 +93,12 @@ void TaskPool::Submit(std::function<void()> task, int64_t priority) {
   work_cv_.notify_one();
 }
 
-void TaskPool::Drain() {
+void ThreadPool::Drain() {
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [&] { return tasks_.empty() && running_ == 0; });
 }
 
-void TaskPool::WorkerLoop() {
+void ThreadPool::WorkerLoop() {
   while (true) {
     std::function<void()> task;
     {
@@ -275,6 +120,25 @@ void TaskPool::WorkerLoop() {
       }
     }
   }
+}
+
+void ThreadPool::ParallelFor(size_t count, const std::function<void(size_t)>& body) {
+  if (workers_.empty() || count <= 1) {
+    for (size_t i = 0; i < count; ++i) {
+      body(i);
+    }
+    return;
+  }
+  auto batch = std::make_shared<ParallelForBatch>();
+  batch->body = &body;
+  batch->count = count;
+  const size_t helpers = std::min(workers_.size(), count - 1);
+  for (size_t h = 0; h < helpers; ++h) {
+    Submit([batch] { batch->Run(); }, std::numeric_limits<int64_t>::max());
+  }
+  batch->Run();  // the caller pulls items too
+  std::unique_lock<std::mutex> lock(batch->mu);
+  batch->done_cv.wait(lock, [&] { return batch->finished == count; });
 }
 
 }  // namespace unicorn

@@ -6,6 +6,7 @@
 #include "unicorn/engine_pool.h"
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -148,40 +149,78 @@ TEST(EnginePoolTest, CrossShardHitsOnIdenticalPrefixesAndNoneAfterDivergence) {
   EXPECT_GT(pool.shard(b).stats().tests_evaluated, 0);
 }
 
-// Four shards with four different tables refreshed as one parallel batch
-// match four standalone engines refreshed serially — the concurrency (and
-// the shared cache under it) cannot leak into any shard's model.
+// Shards with different tables refreshed as one parallel batch match
+// standalone engines refreshed serially — the concurrency (and the shared
+// cache under it) cannot leak into any shard's model. The batch runs as wide
+// as the refresh workers, also when dirty shards outnumber them.
 TEST(EnginePoolTest, ParallelBatchRefreshMatchesStandaloneEngines) {
   const CausalModelOptions model_options = SmallModelOptions();
+  struct Config {
+    size_t shards;
+    int refresh_threads;
+  };
+  for (const Config& config : {Config{4, 4}, Config{6, 2}}) {
+    ShardPoolOptions pool_options;
+    pool_options.model = model_options;
+    pool_options.refresh_threads = config.refresh_threads;
+    std::vector<DataTable> tables;
+    for (uint64_t i = 0; i < config.shards; ++i) {
+      tables.push_back(MeasuredData(SystemId::kX264, 50 + 5 * i, 50 + i));
+    }
+    EngineShardPool pool(tables[0].Variables(), pool_options);
+    std::vector<size_t> shards;
+    for (size_t i = 0; i < tables.size(); ++i) {
+      shards.push_back(pool.ShardForGroup("group-" + std::to_string(i)));
+      pool.shard(shards[i]).AppendRows(tables[i]);
+    }
+    pool.RefreshShards(shards, 11);
+
+    const ShardPoolStats stats = pool.stats();
+    EXPECT_EQ(stats.shards, config.shards);
+    EXPECT_EQ(stats.refreshes, config.shards);
+    EXPECT_EQ(stats.max_concurrent_refreshes, static_cast<size_t>(config.refresh_threads));
+    EXPECT_EQ(stats.refresh_batches, 1u);
+
+    for (size_t i = 0; i < tables.size(); ++i) {
+      CausalModelEngine reference(tables[i].Variables(), model_options);
+      reference.AppendRows(tables[i]);
+      reference.Refresh(11);
+      EXPECT_TRUE(
+          GraphsIdentical(pool.shard(shards[i]).model().admg, reference.model().admg))
+          << "shards=" << config.shards << " shard " << i;
+      EXPECT_EQ(pool.shard(shards[i]).model().independence_tests,
+                reference.model().independence_tests)
+          << "shards=" << config.shards << " shard " << i;
+    }
+  }
+}
+
+// RefreshShards waits for done events, so it must not start while an
+// asynchronous refresh is outstanding: their done events would mix. The
+// call is refused whole, and succeeds once the outstanding event is popped.
+TEST(EnginePoolTest, RefreshShardsRefusedWhileAsyncRefreshOutstanding) {
   ShardPoolOptions pool_options;
-  pool_options.model = model_options;
-  pool_options.refresh_threads = 4;
-  std::vector<DataTable> tables;
-  for (uint64_t i = 0; i < 4; ++i) {
-    tables.push_back(MeasuredData(SystemId::kX264, 50 + 5 * i, 50 + i));
-  }
-  EngineShardPool pool(tables[0].Variables(), pool_options);
-  std::vector<size_t> shards;
-  for (size_t i = 0; i < tables.size(); ++i) {
-    shards.push_back(pool.ShardForGroup("group-" + std::to_string(i)));
-    pool.shard(shards[i]).AppendRows(tables[i]);
-  }
-  pool.RefreshShards(shards, 11);
+  pool_options.model = SmallModelOptions();
+  pool_options.refresh_threads = 2;
+  const DataTable table = MeasuredData(SystemId::kX264, 50, 61);
+  EngineShardPool pool(table.Variables(), pool_options);
+  const size_t a = pool.ShardForGroup("a");
+  const size_t b = pool.ShardForGroup("b");
+  pool.shard(a).AppendRows(table);
+  pool.shard(b).AppendRows(table);
 
-  const ShardPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.shards, 4u);
-  EXPECT_EQ(stats.refreshes, 4u);
-  EXPECT_EQ(stats.max_concurrent_refreshes, 4u);
-  EXPECT_EQ(stats.refresh_batches, 1u);
+  pool.StartRefreshAsync(a, 5, /*token=*/77);
+  EXPECT_THROW(pool.RefreshShards({b}, 5), std::logic_error);
+  EXPECT_EQ(pool.stats().refresh_batches, 0u);
+  EXPECT_EQ(pool.shard(b).stats().refreshes, 0u);
 
-  for (size_t i = 0; i < tables.size(); ++i) {
-    CausalModelEngine reference(tables[i].Variables(), model_options);
-    reference.AppendRows(tables[i]);
-    reference.Refresh(11);
-    EXPECT_TRUE(GraphsIdentical(pool.shard(shards[i]).model().admg, reference.model().admg));
-    EXPECT_EQ(pool.shard(shards[i]).model().independence_tests,
-              reference.model().independence_tests);
-  }
+  ShardRefreshDone done;
+  ASSERT_TRUE(pool.WaitRefreshDone(&done));
+  EXPECT_EQ(done.token, 77u);
+  EXPECT_EQ(done.error, nullptr);
+  pool.RefreshShards({b}, 5);
+  EXPECT_EQ(pool.stats().refresh_batches, 1u);
+  EXPECT_EQ(pool.shard(b).stats().refreshes, 1u);
 }
 
 // The concurrent cache itself: parallel stores and lookups across shards

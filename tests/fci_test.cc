@@ -330,7 +330,7 @@ TEST(FciTest, ParallelSkeletonBitIdenticalToSerial) {
   options.max_subsets = 16;
   const SkeletonResult one = LearnSkeleton(test, constraints, world.data.NumVars(), options);
 
-  ThreadPool pool(4);
+  ThreadPool pool(3);  // three workers plus the calling thread
   const SkeletonResult four =
       LearnSkeleton(test, constraints, world.data.NumVars(), options, {}, &pool);
 

@@ -94,7 +94,7 @@ TEST(IntraRefreshParallelTest, PdsPhaseBitIdenticalAcrossThreadCounts) {
   ASSERT_GT(serial.tests_performed, 0);
 
   for (int threads : {2, 8}) {
-    ThreadPool pool(threads);
+    ThreadPool pool(threads - 1);
     const CompositeTest test(world.data);
     const FciResult parallel = RunFci(test, constraints, n, options, {}, &pool);
     EXPECT_TRUE(SameMarks(serial.pag, parallel.pag)) << "threads=" << threads;
@@ -118,7 +118,7 @@ TEST(IntraRefreshParallelTest, PdsPhaseBitIdenticalWithCache) {
   ASSERT_GT(serial_cache.hits(), 0);  // the PDS phase must re-hit skeleton keys
 
   for (int threads : {2, 8}) {
-    ThreadPool pool(threads);
+    ThreadPool pool(threads - 1);
     const CompositeTest inner(world.data);
     CICache cache;
     const CachedCITest cached(inner, &cache, world.data.NumRows());
@@ -187,7 +187,7 @@ TEST(IntraRefreshParallelTest, EntropicPhaseBitIdenticalAcrossThreadCounts) {
   const uint64_t serial_next = serial_rng.NextU64();
 
   for (int threads : {2, 8}) {
-    ThreadPool pool(threads);
+    ThreadPool pool(threads - 1);
     Rng rng(97);
     MixedGraph pag = unresolved;
     EdgeDecisionMap decisions;

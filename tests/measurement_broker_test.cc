@@ -321,6 +321,9 @@ TEST(MeasurementBrokerTest, AsyncSubmitBatchStreamsCompletions) {
   while (broker.WaitCompletion(&done)) {
     ASSERT_TRUE(done.ok);
     ASSERT_LT(done.index, configs.size());
+    if (done.batch != first.id) {
+      ASSERT_EQ(done.batch, second.id);  // no completion of an unknown batch
+    }
     (done.batch == first.id ? rows_first : rows_second)[done.index] = done.row;
     ++received;
   }

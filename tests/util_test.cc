@@ -164,11 +164,9 @@ TEST(BoundedQueueTest, PopForTimesOutThenDelivers) {
   EXPECT_FALSE(queue.PopFor(&value, std::chrono::milliseconds(5)));
 }
 
-TEST(TaskPoolTest, SubmitRunsTasksAndDrainWaits) {
-  TaskPool::Options options;
-  options.num_threads = 2;
-  TaskPool pool(options);
-  EXPECT_EQ(pool.num_threads(), 2);
+TEST(ThreadPoolTest, SubmitRunsTasksAndDrainWaits) {
+  ThreadPool pool(2);
+  EXPECT_EQ(pool.num_workers(), 2);
 
   std::atomic<int> ran{0};
   for (int i = 0; i < 16; ++i) {
@@ -187,10 +185,8 @@ TEST(TaskPoolTest, SubmitRunsTasksAndDrainWaits) {
 // Priority is shortest-job-first dispatch order for queued tasks: with the
 // single worker held busy, the high-priority submission overtakes earlier
 // low-priority ones, and equal priorities keep submission (FIFO) order.
-TEST(TaskPoolTest, HigherPriorityOvertakesQueueFifoOnTies) {
-  TaskPool::Options options;
-  options.num_threads = 1;
-  TaskPool pool(options);
+TEST(ThreadPoolTest, HigherPriorityOvertakesQueueFifoOnTies) {
+  ThreadPool pool(1);
 
   std::mutex mu;
   std::condition_variable cv;
@@ -217,69 +213,91 @@ TEST(TaskPoolTest, HigherPriorityOvertakesQueueFifoOnTies) {
   EXPECT_EQ(order, (std::vector<int>{3, 1, 2, 4}));
 }
 
-// pin_threads is a best-effort hint: pools must construct and run work with
-// it on regardless of the host's affinity rights.
-TEST(ThreadPoolTest, PinnedPoolsStillRunWork) {
-  ThreadPool::Options options;
-  options.num_threads = 2;
-  options.pin_threads = true;
-  ThreadPool pool(options);
-  std::atomic<int> sum{0};
-  pool.ParallelFor(8, [&](size_t i) { sum.fetch_add(static_cast<int>(i)); });
-  EXPECT_EQ(sum.load(), 28);
-
-  TaskPool task_pool(options);
-  std::atomic<int> ran{0};
-  task_pool.Submit([&ran] { ran.fetch_add(1); });
-  task_pool.Drain();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(CpuTopologyTest, DetectionIsInternallyConsistent) {
-  const CpuTopology topo = DetectCpuTopology();
-  EXPECT_GE(topo.logical_cpus, 1);
-  if (topo.physical_cores > 0) {
-    EXPECT_LE(topo.physical_cores, topo.logical_cpus);
-    EXPECT_EQ(topo.core_leaders.size(), static_cast<size_t>(topo.physical_cores));
-    EXPECT_EQ(topo.smt_siblings, topo.logical_cpus > topo.physical_cores);
-    // Leaders are distinct CPUs, one per core.
-    for (size_t i = 1; i < topo.core_leaders.size(); ++i) {
-      EXPECT_NE(topo.core_leaders[i], topo.core_leaders[i - 1]);
+// Every index runs exactly once, on any pool width and for batch sizes
+// around the helper count; back-to-back batches on one pool neither skip
+// nor re-run an item (a helper of the first batch that starts late must not
+// claim the second batch's items).
+TEST(ThreadPoolTest, ParallelForRunsEachIndexOnce) {
+  for (const int workers : {0, 3}) {
+    ThreadPool pool(workers);
+    for (const size_t count : {size_t{0}, size_t{1}, size_t{3}, size_t{1000}}) {
+      std::vector<std::atomic<int>> first(count);
+      std::vector<std::atomic<int>> second(count);
+      std::atomic<size_t> sum{0};
+      std::atomic<size_t> off_caller{0};
+      const std::thread::id caller = std::this_thread::get_id();
+      pool.ParallelFor(count, [&](size_t i) {
+        first[i].fetch_add(1);
+        sum.fetch_add(i);
+        if (std::this_thread::get_id() != caller) {
+          off_caller.fetch_add(1);
+        }
+      });
+      pool.ParallelFor(count, [&](size_t i) { second[i].fetch_add(1); });
+      for (size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(first[i].load(), 1) << "workers=" << workers << " count=" << count;
+        EXPECT_EQ(second[i].load(), 1) << "workers=" << workers << " count=" << count;
+      }
+      EXPECT_EQ(sum.load(), count > 0 ? count * (count - 1) / 2 : 0) << "workers=" << workers;
+      if (workers == 0) {
+        EXPECT_EQ(off_caller.load(), 0u) << "count=" << count;
+      }
     }
-  } else {
-    EXPECT_TRUE(topo.core_leaders.empty());
   }
 }
 
-TEST(CpuTopologyTest, PlanPinningDeclinesOversubscription) {
-  CpuTopology topo;
-  topo.logical_cpus = 8;
-  topo.physical_cores = 4;
-  topo.smt_siblings = true;
-  topo.core_leaders = {0, 2, 4, 6};
-  // Fits: one whole core per thread, never a hyperthread sibling.
-  EXPECT_EQ(PlanPinning(topo, 4), topo.core_leaders);
-  EXPECT_EQ(PlanPinning(topo, 1), topo.core_leaders);
-  // Oversubscribed or unknown: no pinning at all.
-  EXPECT_TRUE(PlanPinning(topo, 5).empty());
-  EXPECT_TRUE(PlanPinning(topo, 0).empty());
-  EXPECT_TRUE(PlanPinning(CpuTopology{}, 2).empty());
+// The batch runs on the caller plus every worker at once: each item waits
+// until all workers + 1 items have started, which only completes when that
+// many threads claimed one item each (a narrower batch times out). The
+// workers' items then outlast the caller's own, and ParallelFor still
+// returns only after every item finished.
+TEST(ThreadPoolTest, ParallelForRunsOnCallerAndEveryWorker) {
+  constexpr int kWorkers = 3;
+  ThreadPool pool(kWorkers);
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  std::atomic<int> timed_out{0};
+  std::atomic<int> finished{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  pool.ParallelFor(kWorkers + 1, [&](size_t) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      ++started;
+      cv.notify_all();
+      if (!cv.wait_for(lock, std::chrono::seconds(10), [&] { return started == kWorkers + 1; })) {
+        timed_out.fetch_add(1);
+      }
+    }
+    if (std::this_thread::get_id() != caller) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    finished.fetch_add(1);
+  });
+  EXPECT_EQ(finished.load(), kWorkers + 1);
+  EXPECT_EQ(timed_out.load(), 0);
 }
 
-TEST(CpuTopologyTest, PoolsReportPinnedWorkers) {
-  const CpuTopology topo = DetectCpuTopology();
-  ThreadPool::Options options;
-  options.num_threads = 4;
-  options.pin_threads = true;
-  ThreadPool pool(options);
-  // Pinning happens exactly when the plan says this host can afford it.
-  const bool should_pin = !PlanPinning(topo, 4).empty();
-  EXPECT_EQ(pool.pinned_workers(), should_pin ? 3 : 0);
+// A pool without workers has nobody to hand a task to: Submit runs it
+// before returning, so Drain and the destructor never wait on it.
+TEST(ThreadPoolTest, WorkerlessPoolRunsSubmitInline) {
+  ThreadPool pool(0);
+  bool ran = false;
+  pool.Submit([&ran] { ran = true; });
+  EXPECT_TRUE(ran);
+  pool.Drain();
+}
 
-  ThreadPool::Options unpinned;
-  unpinned.num_threads = 4;
-  ThreadPool plain(unpinned);
-  EXPECT_EQ(plain.pinned_workers(), 0);
+// ParallelFor from inside one of the pool's own tasks: the lone worker is
+// that task, so its helper cannot start until the batch is over — the
+// caller runs every item itself instead of waiting, and the late helper
+// finds nothing left to claim.
+TEST(ThreadPoolTest, ParallelForInsideOwnTaskRunsInline) {
+  ThreadPool pool(1);
+  std::vector<int> hits(64, 0);
+  pool.Submit([&] { pool.ParallelFor(hits.size(), [&](size_t i) { ++hits[i]; }); });
+  pool.Drain();
+  EXPECT_EQ(hits, std::vector<int>(64, 1));
 }
 
 TEST(TextTableTest, RendersHeaderAndRows) {
