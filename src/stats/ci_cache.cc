@@ -173,15 +173,6 @@ void CICache::Clear() {
   }
 }
 
-void CICache::ResetCounters() {
-  for (Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    stripe.lookups = 0;
-    stripe.hits = 0;
-    stripe.cross_shard_hits = 0;
-  }
-}
-
 bool CICache::SaveTo(const std::string& path) const {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {

@@ -119,7 +119,6 @@ class CICache {
   // turns every slot it holds into an empty one, and keeps its capacity for
   // the next refresh's working set.
   void Clear();
-  void ResetCounters();
 
   // Cross-process persistence. Entries are keyed on the order-sensitive
   // table fingerprint (plus row count), so a snapshot taken against one

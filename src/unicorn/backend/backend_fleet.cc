@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -57,10 +58,7 @@ const FleetMetrics& Metrics() {
 
 BackendFleet::BackendFleet(std::vector<std::unique_ptr<MeasurementBackend>> backends,
                            FleetOptions options)
-    : options_(options),
-      // The completion stream never exceeds the number of outstanding
-      // requests; its capacity only matters as a ForcePush-free fast path.
-      completions_(options.queue_capacity * (backends.empty() ? 1 : backends.size()) + 1) {
+    : options_(options) {
   slots_.reserve(backends.size());
   for (auto& backend : backends) {
     auto slot = std::make_unique<Slot>();
@@ -87,8 +85,8 @@ BackendFleet::~BackendFleet() {
       slot->work_cv.notify_all();
     }
     space_cv_.notify_all();
+    completion_cv_.notify_all();
   }
-  completions_.Close();
   for (auto& worker : workers_) {
     worker.join();
   }
@@ -175,7 +173,8 @@ void BackendFleet::CompleteOk(const Request& request, size_t slot_index,
   done.backend = static_cast<int>(slot_index);
   done.measure_seconds = seconds;
   --outstanding_;
-  completions_.ForcePush(std::move(done));
+  completions_.push_back(std::move(done));
+  completion_cv_.notify_one();
 }
 
 void BackendFleet::CompleteFailure(const Request& request, int slot_index,
@@ -191,7 +190,8 @@ void BackendFleet::CompleteFailure(const Request& request, int slot_index,
   done.backend = slot_index;
   done.measure_seconds = seconds;
   --outstanding_;
-  completions_.ForcePush(std::move(done));
+  completions_.push_back(std::move(done));
+  completion_cv_.notify_one();
 }
 
 void BackendFleet::BreakCircuit(size_t slot_index) {
@@ -246,24 +246,26 @@ uint64_t BackendFleet::Submit(std::vector<double> config, std::string environmen
 }
 
 bool BackendFleet::WaitCompletion(FleetCompletion* out) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (outstanding_ == 0 && completions_.size() == 0) {
-      return false;
-    }
-  }
-  return completions_.Pop(out);
+  return WaitCompletionFor(out, std::numeric_limits<double>::infinity());
 }
 
 bool BackendFleet::WaitCompletionFor(FleetCompletion* out, double timeout_seconds) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (outstanding_ == 0 && completions_.size() == 0) {
-      return false;
-    }
+  std::unique_lock<std::mutex> lock(mu_);
+  // Every submitted request lands on completions_ as outstanding_ drops, so
+  // an empty stream with nothing outstanding can never fill again.
+  const auto ready = [&] { return stop_ || outstanding_ == 0 || !completions_.empty(); };
+  if (std::isinf(timeout_seconds)) {
+    completion_cv_.wait(lock, ready);
+  } else if (!completion_cv_.wait_for(
+                 lock, std::chrono::duration<double>(std::max(0.0, timeout_seconds)), ready)) {
+    return false;
   }
-  return completions_.PopFor(
-      out, std::chrono::duration<double>(timeout_seconds < 0.0 ? 0.0 : timeout_seconds));
+  if (completions_.empty()) {
+    return false;
+  }
+  *out = std::move(completions_.front());
+  completions_.pop_front();
+  return true;
 }
 
 size_t BackendFleet::Outstanding() const {

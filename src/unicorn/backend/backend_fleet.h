@@ -17,8 +17,9 @@
 //                retired and everything still in its queue is rerouted, so
 //                no queued request is lost.
 //
-// Every outcome lands on one completion stream (a BoundedQueue) tagged with
-// the submit ticket; callers reassemble order from tickets. The FleetStats
+// Every outcome lands on one completion stream (a deque under the fleet's
+// lock) tagged with the submit ticket; callers reassemble order from
+// tickets. The FleetStats
 // ledger tracks per-backend dispatched/completed/failure counts, queue
 // depths, and busy time.
 //
@@ -35,7 +36,7 @@
 // backends (same task/Environment) and pure per-configuration measurement,
 // the ROWS are identical no matter how requests are routed or retried. The
 // broker's fleet-backed MeasureBatch builds its bit-identical-to-serial
-// guarantee on exactly that, with ticket-ordered reassembly on top.
+// guarantee on exactly that, writing each row at its request index.
 #ifndef UNICORN_UNICORN_BACKEND_BACKEND_FLEET_H_
 #define UNICORN_UNICORN_BACKEND_BACKEND_FLEET_H_
 
@@ -50,7 +51,6 @@
 #include <vector>
 
 #include "unicorn/backend/backend.h"
-#include "util/bounded_queue.h"
 
 namespace unicorn {
 
@@ -136,21 +136,20 @@ class BackendFleet {
   /// Thread-safety: safe from multiple threads.
   uint64_t Submit(std::vector<double> config, std::string environment = "");
 
-  /// Blocks for the next completed request. Returns false when nothing is
-  /// outstanding (every submitted request already streamed out) or the
-  /// fleet is shutting down.
+  /// Blocks for the next completed request: WaitCompletionFor with no
+  /// deadline. Returns false when nothing is outstanding (every submitted
+  /// request already streamed out) or the fleet is shutting down.
   /// Thread-safety: single-consumer — one thread drains the stream.
   bool WaitCompletion(FleetCompletion* out);
 
   /// Timed WaitCompletion: false when nothing completed within
   /// `timeout_seconds` (as well as when nothing is outstanding — callers
-  /// that must distinguish check Outstanding()). The campaign scheduler uses
-  /// it to multiplex the completion stream with its refresh-done queue.
+  /// that must distinguish check Outstanding()); an infinite timeout waits
+  /// without a deadline. The broker's timed batch wait rides on it.
   /// Thread-safety: single-consumer, same as WaitCompletion.
   bool WaitCompletionFor(FleetCompletion* out, double timeout_seconds);
 
   size_t Outstanding() const;
-  size_t num_backends() const { return slots_.size(); }
   const MeasurementBackend& backend(size_t i) const { return *slots_[i]->backend; }
 
   /// Consistent snapshot of every counter (one lock acquisition).
@@ -191,10 +190,11 @@ class BackendFleet {
 
   const FleetOptions options_;
   mutable std::mutex mu_;
-  std::condition_variable space_cv_;  // submitters waiting for queue space
+  std::condition_variable space_cv_;       // submitters waiting for queue space
+  std::condition_variable completion_cv_;  // the consumer waiting on completions_
   std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<std::thread> workers_;
-  BoundedQueue<FleetCompletion> completions_;
+  std::deque<FleetCompletion> completions_;  // finished, not yet handed out
   uint64_t next_ticket_ = 1;
   size_t outstanding_ = 0;  // submitted, not yet on the completion stream
   FleetStats totals_;       // fleet-level counters (backends[] filled on demand)

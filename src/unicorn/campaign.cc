@@ -18,6 +18,10 @@ namespace {
 
 using SchedClock = std::chrono::steady_clock;
 
+// Runaway guard on a policy's rounds; policies normally terminate
+// themselves.
+constexpr size_t kMaxRounds = 100000;
+
 // Process-wide scheduler instruments. campaign.round_seconds is the SLO
 // histogram the multi-tenant service will report p50/p99 from: one sample
 // per policy round, covering refresh wait + propose + measurement + absorb.
@@ -159,19 +163,6 @@ CampaignRunner::CampaignRunner(PerformanceTask task, CampaignOptions options,
   pool_.ShardForGroup("");
 }
 
-std::vector<std::vector<double>> CampaignRunner::SampleConfigs(size_t count, Rng* rng) const {
-  std::vector<std::vector<double>> configs;
-  configs.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    configs.push_back(broker_.task().sample_config(rng));
-  }
-  return configs;
-}
-
-std::vector<std::vector<double>> CampaignRunner::MeasureUniform(size_t count, Rng* rng) {
-  return broker_.MeasureBatch(SampleConfigs(count, rng));
-}
-
 void CampaignRunner::Run(const std::vector<CampaignPolicy*>& policies) {
   std::vector<GroupedPolicy> grouped;
   grouped.reserve(policies.size());
@@ -276,7 +267,7 @@ void CampaignRunner::RunGrouped(const std::vector<GroupedPolicy>& policies) {
     for (size_t a = 0; a < active.size(); ++a) {
       const size_t p = active[a];
       if (policies[p].policy->Finished() || proposals[a].empty() ||
-          round + 1 >= options_.max_rounds) {
+          round + 1 >= kMaxRounds) {
         CampaignContext ctx = ContextFor(shard_of[p], round);
         policies[p].policy->Finalize(ctx);
       } else {
@@ -297,6 +288,11 @@ void CampaignRunner::RunAsync(const std::vector<CampaignPolicy*>& policies) {
 }
 
 void CampaignRunner::RunAsyncGrouped(const std::vector<GroupedPolicy>& policies) {
+  // Both loops take every finished batch off the broker's stream as their
+  // own, so nobody else's may be on it.
+  if (broker_.OutstandingRequests() > 0) {
+    throw std::logic_error("async campaign: the broker has outstanding requests");
+  }
   if (options_.pipeline) {
     RunAsyncGroupedPipelined(policies);
   } else {
@@ -317,8 +313,6 @@ void CampaignRunner::RunAsyncGroupedBarrier(const std::vector<GroupedPolicy>& po
     size_t shard = 0;
     size_t round = 0;
     std::vector<std::vector<double>> proposal;
-    std::vector<std::vector<double>> rows;
-    size_t received = 0;
     SchedClock::time_point round_start{};
   };
   std::vector<PolicyState> states;
@@ -348,8 +342,6 @@ void CampaignRunner::RunAsyncGroupedBarrier(const std::vector<GroupedPolicy>& po
     if (!envs.empty() && envs.size() != state.proposal.size()) {
       throw std::logic_error("campaign: ProposalEnvironments must parallel the proposal");
     }
-    state.rows.assign(state.proposal.size(), {});
-    state.received = 0;
     const BatchTicket ticket = broker_.SubmitBatch(state.proposal, envs);
     batch_owner.emplace(ticket.id, state_index);
     return true;
@@ -363,57 +355,37 @@ void CampaignRunner::RunAsyncGroupedBarrier(const std::vector<GroupedPolicy>& po
       entry.policy->Finalize(ctx);
       continue;
     }
-    states.push_back(PolicyState{entry.policy, shard, 0, {}, {}, 0});
+    states.push_back(PolicyState{entry.policy, shard, 0, {}});
     if (launch_round(states.size() - 1)) {
       ++active;
     }
   }
 
-  // Drain the completion stream: whichever policy's batch fills first
+  // Drain the batch stream: whichever policy's batch finishes first
   // absorbs first and immediately pipelines its next round — no barrier on
-  // the other policies' in-flight measurements. Completions of batches
-  // someone else submitted through the shared broker are set aside and
-  // requeued for their own consumer once the campaign is done.
-  std::vector<BrokerCompletion> foreign;
-  const auto requeue_foreign = [&] {
-    for (auto it = foreign.rbegin(); it != foreign.rend(); ++it) {
-      broker_.Requeue(std::move(*it));
-    }
-    foreign.clear();
-  };
+  // the other policies' in-flight measurements.
   while (active > 0) {
-    BrokerCompletion done;
-    if (!broker_.WaitCompletion(&done)) {
-      requeue_foreign();
+    BatchResult batch;
+    if (!broker_.WaitBatch(&batch)) {
       throw std::runtime_error("async campaign: completion stream ended with active policies");
     }
-    const auto owner = batch_owner.find(done.batch);
-    if (owner == batch_owner.end()) {
-      foreign.push_back(std::move(done));
-      continue;
+    if (!batch.error.empty()) {
+      throw std::runtime_error("async campaign: measurement failed permanently: " + batch.error);
     }
-    if (!done.ok) {
-      requeue_foreign();
-      throw std::runtime_error("async campaign: measurement failed permanently: " + done.error);
-    }
-    PolicyState& state = states[owner->second];
-    state.rows[done.index] = std::move(done.row);
-    if (++state.received < state.proposal.size()) {
-      continue;
-    }
-    const size_t state_index = owner->second;
-    batch_owner.erase(owner);
+    const size_t state_index = batch_owner.at(batch.id);
+    batch_owner.erase(batch.id);
+    PolicyState& state = states[state_index];
 
     CampaignContext ctx = ContextFor(state.shard, state.round);
     {
       TRACE_SPAN_NAMED(absorb_span, "campaign.absorb", "campaign");
       absorb_span.SetArg("round", static_cast<double>(state.round));
-      state.policy->Absorb(state.proposal, state.rows, ctx);
+      state.policy->Absorb(state.proposal, batch.rows, ctx);
     }
     Metrics().rounds->Increment();
     Metrics().round_seconds->Record(
         std::chrono::duration<double>(SchedClock::now() - state.round_start).count());
-    if (state.policy->Finished() || state.round + 1 >= options_.max_rounds) {
+    if (state.policy->Finished() || state.round + 1 >= kMaxRounds) {
       state.policy->Finalize(ctx);
       --active;
       continue;
@@ -423,12 +395,11 @@ void CampaignRunner::RunAsyncGroupedBarrier(const std::vector<GroupedPolicy>& po
       --active;
     }
   }
-  requeue_foreign();
 }
 
 // The pipelined campaign scheduler (ROADMAP "pipelined campaign rounds"):
-// a ready-set event loop over two completion streams — measurement rows from
-// the broker/fleet and shard-refresh done events from the pool's
+// a ready-set event loop over two completion streams — finished measurement
+// batches from the broker and shard-refresh done events from the pool's
 // asynchronous refresh workers. A policy whose next round wants a refresh
 // hands its shard to the workers and the loop keeps absorbing and
 // resubmitting every other policy meanwhile, so dirty shards of *different*
@@ -443,11 +414,11 @@ void CampaignRunner::RunAsyncGroupedBarrier(const std::vector<GroupedPolicy>& po
 // same-group interleaving remains completion-order-dependent, as documented
 // on RunAsyncGrouped.
 void CampaignRunner::RunAsyncGroupedPipelined(const std::vector<GroupedPolicy>& policies) {
-  // Alternation quantum while both streams are live: the timed row-wait
-  // returns early on every completion, so this bounds only refresh-done
-  // latency. 2ms keeps refresh-chain resubmission prompt (a chained shard
-  // sits idle until the done event is seen) while staying far below a
-  // device service time, so fleet feeding is never the bottleneck.
+  // Alternation quantum while both streams are live: the timed batch wait
+  // returns early on every finished batch, so this bounds only refresh-done
+  // latency. 2ms keeps a parked shard's next step prompt (the shard sits
+  // idle until the done event is seen) while staying far below a device
+  // service time, so fleet feeding is never the bottleneck.
   constexpr double kPollSeconds = 0.002;
 
   struct PolicyState {
@@ -455,33 +426,25 @@ void CampaignRunner::RunAsyncGroupedPipelined(const std::vector<GroupedPolicy>& 
     size_t shard = 0;
     size_t round = 0;
     std::vector<std::vector<double>> proposal;
-    std::vector<std::vector<double>> rows;
-    size_t received = 0;
+    std::vector<std::vector<double>> rows;  // the finished batch, until absorbed
     SchedClock::time_point round_start{};
   };
-  enum class ShardAction : uint8_t { kAbsorb, kPropose };
+  enum class ShardAction : uint8_t { kLaunch, kAbsorb, kPropose };
 
   std::vector<PolicyState> states;
   std::unordered_map<uint64_t, size_t> batch_owner;  // broker batch id -> state
   size_t active = 0;
   // Per-shard scheduling state. A shard with an asynchronous refresh in
-  // flight must not be touched (pool contract), so a same-group policy whose
-  // batch fills — or whose own refresh finished while a groupmate's is still
-  // queued — parks its next step here; the queue drains FIFO the moment the
+  // flight must not be touched and must not be refreshed again (pool
+  // contract), so a same-group policy whose launch comes up, whose batch
+  // finishes, or whose own refresh finished while a groupmate's is still
+  // running parks its next step here; the queue drains FIFO the moment the
   // shard goes quiet. Policies in distinct groups never park.
   std::vector<size_t> shard_refreshing;
   std::vector<std::deque<std::pair<ShardAction, size_t>>> shard_queue;
-  // Measurement rows currently on the fleet (submitted, row not yet back):
-  // the gauge the pool's overlap ledger samples.
+  // Measurement rows submitted and not yet handed to the scheduler in a
+  // finished batch: the gauge the pool's overlap ledger samples.
   std::atomic<size_t> in_flight_rows{0};
-
-  std::vector<BrokerCompletion> foreign;
-  const auto requeue_foreign = [&] {
-    for (auto it = foreign.rbegin(); it != foreign.rend(); ++it) {
-      broker_.Requeue(std::move(*it));
-    }
-    foreign.clear();
-  };
 
   // Propose and submit the policy's current round (its shard is quiet and
   // refreshed, or needed no refresh). Returns false when the policy retired
@@ -500,8 +463,6 @@ void CampaignRunner::RunAsyncGroupedPipelined(const std::vector<GroupedPolicy>& 
     if (!envs.empty() && envs.size() != state.proposal.size()) {
       throw std::logic_error("campaign: ProposalEnvironments must parallel the proposal");
     }
-    state.rows.assign(state.proposal.size(), {});
-    state.received = 0;
     const size_t now_in_flight =
         in_flight_rows.fetch_add(state.proposal.size(), std::memory_order_relaxed) +
         state.proposal.size();
@@ -539,7 +500,7 @@ void CampaignRunner::RunAsyncGroupedPipelined(const std::vector<GroupedPolicy>& 
     Metrics().rounds->Increment();
     Metrics().round_seconds->Record(
         std::chrono::duration<double>(SchedClock::now() - state.round_start).count());
-    if (state.policy->Finished() || state.round + 1 >= options_.max_rounds) {
+    if (state.policy->Finished() || state.round + 1 >= kMaxRounds) {
       state.policy->Finalize(ctx);
       --active;
       return;
@@ -560,6 +521,10 @@ void CampaignRunner::RunAsyncGroupedPipelined(const std::vector<GroupedPolicy>& 
       queue.pop_front();
       if (action == ShardAction::kAbsorb) {
         absorb_and_advance(state_index);
+      } else if (action == ShardAction::kLaunch) {
+        if (!launch_round(state_index)) {
+          --active;
+        }
       } else if (!propose_and_submit(state_index)) {
         --active;
       }
@@ -594,12 +559,14 @@ void CampaignRunner::RunAsyncGroupedPipelined(const std::vector<GroupedPolicy>& 
         policies[p].policy->Finalize(ctx);
         continue;
       }
-      states.push_back(PolicyState{policies[p].policy, shard_of[p], 0, {}, {}, 0});
+      states.push_back(PolicyState{policies[p].policy, shard_of[p], 0, {}, {}});
     }
+    // Launches go through the shard queues like every later step, so one
+    // parks behind a groupmate's round-0 refresh.
     for (size_t i = 0; i < states.size(); ++i) {
-      if (launch_round(i)) {
-        ++active;
-      }
+      ++active;
+      shard_queue[states[i].shard].push_back({ShardAction::kLaunch, i});
+      process_shard(states[i].shard);
     }
 
     while (active > 0) {
@@ -616,15 +583,15 @@ void CampaignRunner::RunAsyncGroupedPipelined(const std::vector<GroupedPolicy>& 
       }
       const bool measurements_pending = !batch_owner.empty();
       const bool refreshes_pending = pool_.PendingAsyncRefreshes() > 0;
-      BrokerCompletion done;
+      BatchResult batch;
       if (measurements_pending && refreshes_pending) {
-        // Both streams live: timed wait on the row stream, then loop back
+        // Both streams live: timed wait on the batch stream, then loop back
         // to poll the refresh stream.
-        if (!broker_.WaitCompletionFor(&done, kPollSeconds)) {
+        if (!broker_.WaitBatchFor(&batch, kPollSeconds)) {
           continue;
         }
       } else if (measurements_pending) {
-        if (!broker_.WaitCompletion(&done)) {
+        if (!broker_.WaitBatch(&batch)) {
           throw std::runtime_error(
               "async campaign: completion stream ended with active policies");
         }
@@ -637,40 +604,31 @@ void CampaignRunner::RunAsyncGroupedPipelined(const std::vector<GroupedPolicy>& 
         throw std::logic_error("async campaign: active policies with nothing outstanding");
       }
 
-      const auto owner = batch_owner.find(done.batch);
-      if (owner == batch_owner.end()) {
-        foreign.push_back(std::move(done));
-        continue;
-      }
-      if (!done.ok) {
+      if (!batch.error.empty()) {
         throw std::runtime_error("async campaign: measurement failed permanently: " +
-                                 done.error);
+                                 batch.error);
       }
-      PolicyState& state = states[owner->second];
-      state.rows[done.index] = std::move(done.row);
       const size_t now_in_flight =
-          in_flight_rows.fetch_sub(1, std::memory_order_relaxed) - 1;
+          in_flight_rows.fetch_sub(batch.rows.size(), std::memory_order_relaxed) -
+          batch.rows.size();
       obs::trace::CounterValue("campaign.in_flight_rows",
                                static_cast<double>(now_in_flight));
-      if (++state.received < state.proposal.size()) {
-        continue;
-      }
-      const size_t state_index = owner->second;
-      batch_owner.erase(owner);
+      const size_t state_index = batch_owner.at(batch.id);
+      batch_owner.erase(batch.id);
+      PolicyState& state = states[state_index];
+      state.rows = std::move(batch.rows);
       shard_queue[state.shard].push_back({ShardAction::kAbsorb, state_index});
       process_shard(state.shard);
     }
   } catch (...) {
     // Workers may still hold engine and gauge references: quiesce the pool
-    // before unwinding releases them, then hand foreign completions back.
+    // before unwinding releases them.
     pool_.DrainAsyncRefreshes();
     pool_.SetInFlightGauge(nullptr);
-    requeue_foreign();
     throw;
   }
   pool_.DrainAsyncRefreshes();  // no-op: no policy retires with a refresh in flight
   pool_.SetInFlightGauge(nullptr);
-  requeue_foreign();
 }
 
 }  // namespace unicorn

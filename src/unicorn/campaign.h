@@ -210,8 +210,6 @@ struct CampaignOptions {
   /// sequential loops did. All shards of a round refresh with the same
   /// seed, so a group's stream is independent of how many other groups run.
   uint64_t seed = 17;
-  /// Runaway guard; policies normally terminate themselves.
-  size_t max_rounds = 100000;
   /// Worker threads for parallel refreshes of dirty engine shards (see
   /// ShardPoolOptions::refresh_threads). 1 = serial; results bit-identical
   /// for any value.
@@ -289,25 +287,20 @@ class CampaignRunner {
   /// run-to-run deterministic.
   ///
   /// With CampaignOptions::pipeline (the default) this runs the pipelined
-  /// campaign scheduler: completions stream in and are absorbed the moment
-  /// a policy's batch fills; a policy whose next round wants a refresh
-  /// hands its shard to the pool's asynchronous refresh workers and the
-  /// scheduler keeps servicing every other policy meanwhile — dirty shards
+  /// campaign scheduler: finished batches stream in from the broker and
+  /// are absorbed the moment they arrive; a policy whose next round wants a
+  /// refresh hands its shard to the pool's asynchronous refresh workers and
+  /// the scheduler keeps servicing every other policy meanwhile — dirty shards
   /// of different policies refresh as one parallel batch, hidden behind
   /// the fleet's device service time (ShardPoolStats::overlap_seconds /
   /// widest_cross_policy_batch report how well).
+  /// Precondition: the broker has no outstanding requests, so every batch
+  /// on its stream is the campaign's own; otherwise throws std::logic_error
+  /// before any policy runs.
   /// Failure: as Run; a permanently failed measurement throws (outstanding
   /// asynchronous refreshes are drained before the exception leaves).
   void RunAsyncGrouped(const std::vector<GroupedPolicy>& policies);
   void RunAsync(const std::vector<CampaignPolicy*>& policies);
-
-  /// Shared initial-sampling helper (the stage every loop and bench used to
-  /// hand-roll): `count` uniform-random configurations drawn with `rng`.
-  std::vector<std::vector<double>> SampleConfigs(size_t count, Rng* rng) const;
-
-  /// Samples `count` configurations and measures them as one batch; rows
-  /// come back in draw order.
-  std::vector<std::vector<double>> MeasureUniform(size_t count, Rng* rng);
 
  private:
   // Refresh-seed stream shared by Run and RunAsync: the round-r refreshing

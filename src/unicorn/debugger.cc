@@ -194,9 +194,9 @@ void DebugPolicy::Absorb(const std::vector<std::vector<double>>&,
       iter_ >= options_.max_iterations) {
     finished_ = true;
   }
-  // The CI-state extension for this slice (the AbsorbIncremental contract)
-  // is deliberately NOT paid here: Refresh() brings the test state up to
-  // date in one O(appended-since-last-refresh) step on entry — on the
+  // The CI-state extension for this slice is deliberately NOT paid here:
+  // Refresh() brings the test state up to date in one
+  // O(appended-since-last-refresh) step on entry — on the
   // pipeline's refresh workers that work overlaps device service time and
   // parallelizes across shards instead of serializing on the scheduler
   // thread, and an engine that never refreshes again (a policy past its

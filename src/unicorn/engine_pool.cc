@@ -14,6 +14,11 @@ namespace unicorn {
 
 namespace {
 
+// Entry budget of the shared CI cache before coarse eviction kicks in
+// (~80 bytes/entry, so it stays near 20 MB). Entries are pure memoization,
+// so eviction costs re-evaluation, never correctness.
+constexpr size_t kSharedCacheEntries = 1 << 18;
+
 // Process-wide shard-pool instruments (see FleetMetrics for the pattern).
 struct PoolMetrics {
   obs::Counter* refreshes;
@@ -38,7 +43,7 @@ const PoolMetrics& Metrics() {
 EngineShardPool::EngineShardPool(std::vector<Variable> variables, ShardPoolOptions options)
     : variables_(std::move(variables)),
       options_(std::move(options)),
-      shared_cache_(options_.shared_cache_entries) {}
+      shared_cache_(kSharedCacheEntries) {}
 
 size_t EngineShardPool::ShardForGroup(const std::string& group) {
   const auto it = group_index_.find(group);
@@ -58,7 +63,6 @@ size_t EngineShardPool::ShardForGroup(const std::string& group) {
       shards_.front()->ShareCICache(&shared_cache_, 0);
     }
   }
-  groups_.push_back(group);
   group_index_.emplace(group, index);
   return index;
 }
@@ -122,23 +126,20 @@ void EngineShardPool::StartRefreshAsync(size_t shard_index, uint64_t seed, uint6
   }
   {
     std::lock_guard<std::mutex> lock(async_mu_);
-    ++async_outstanding_;
     AsyncShardState& state = async_shards_[shard_index];
     if (state.busy) {
-      // The shard is already refreshing (or queued): serialize behind it.
-      // Seeds apply in submission order, preserving the caller's refresh
-      // stream exactly.
-      state.pending.emplace_back(seed, token);
-      return;
+      throw std::logic_error(
+          "EngineShardPool::StartRefreshAsync: the shard's refresh is outstanding");
     }
     state.busy = true;
+    ++async_outstanding_;
   }
   // Shortest-job-first: refresh cost grows superlinearly with the shard's
   // row count, so small shards jump the queue. Without this, a light
   // tenant's millisecond refresh convoys behind multi-second refreshes of
   // big shards and its policy (plus the fleet capacity it was feeding)
   // stalls for the whole backlog. Cross-shard dispatch order carries no
-  // semantics — each shard's own refresh stream stays FIFO via `pending`.
+  // semantics — a shard has at most one refresh outstanding.
   const int64_t priority = -static_cast<int64_t>(shard(shard_index).data().NumRows());
   refresh_pool_->Submit(
       [this, shard_index, seed, token] { RunAsyncRefresh(shard_index, seed, token); },
@@ -151,9 +152,9 @@ void EngineShardPool::RunAsyncRefresh(size_t shard_index, uint64_t seed, uint64_
   {
     std::lock_guard<std::mutex> lock(async_mu_);
     ++async_running_;
-    // Every running job is a distinct shard (per-shard FIFO), i.e. a
-    // distinct objective group: the gauge high-water mark IS the widest
-    // cross-policy refresh batch.
+    // Every running job is a distinct shard (one outstanding refresh per
+    // shard), i.e. a distinct objective group: the gauge high-water mark IS
+    // the widest cross-policy refresh batch.
     widest_async_ = std::max(widest_async_, async_running_);
     gauge = in_flight_gauge_;
   }
@@ -200,9 +201,6 @@ void EngineShardPool::RunAsyncRefresh(size_t shard_index, uint64_t seed, uint64_
   Metrics().refreshes->Increment();
   Metrics().refresh_seconds->Record(wall);
 
-  bool chain = false;
-  uint64_t next_seed = 0;
-  uint64_t next_token = 0;
   {
     std::lock_guard<std::mutex> lock(async_mu_);
     --async_running_;
@@ -217,29 +215,16 @@ void EngineShardPool::RunAsyncRefresh(size_t shard_index, uint64_t seed, uint64_
     // callers never read a mid-refresh engine.
     state.snapshot = shard(shard_index).stats();
     state.has_snapshot = true;
-    if (!state.pending.empty()) {
-      next_seed = state.pending.front().first;
-      next_token = state.pending.front().second;
-      state.pending.pop_front();
-      chain = true;  // state.busy stays set: the shard refreshes again next
-    } else {
-      state.busy = false;
-    }
     async_done_.push_back(std::move(done));
   }
   async_cv_.notify_all();
-  if (chain) {
-    // Re-submit instead of looping inline, so a deep same-shard backlog
-    // cannot starve other shards' queued jobs of this worker. Same
-    // shortest-job-first priority as StartRefreshAsync (the shard is
-    // quiescent between chained refreshes, so the row count is stable).
-    const int64_t priority = -static_cast<int64_t>(shard(shard_index).data().NumRows());
-    refresh_pool_->Submit(
-        [this, shard_index, next_seed, next_token] {
-          RunAsyncRefresh(shard_index, next_seed, next_token);
-        },
-        priority);
-  }
+}
+
+void EngineShardPool::PopRefreshDone(ShardRefreshDone* out) {
+  *out = std::move(async_done_.front());
+  async_done_.pop_front();
+  --async_outstanding_;
+  async_shards_[out->shard].busy = false;
 }
 
 bool EngineShardPool::TryPopRefreshDone(ShardRefreshDone* out) {
@@ -247,9 +232,7 @@ bool EngineShardPool::TryPopRefreshDone(ShardRefreshDone* out) {
   if (async_done_.empty()) {
     return false;
   }
-  *out = std::move(async_done_.front());
-  async_done_.pop_front();
-  --async_outstanding_;
+  PopRefreshDone(out);
   return true;
 }
 
@@ -259,9 +242,7 @@ bool EngineShardPool::WaitRefreshDone(ShardRefreshDone* out) {
     return false;
   }
   async_cv_.wait(lock, [&] { return !async_done_.empty(); });
-  *out = std::move(async_done_.front());
-  async_done_.pop_front();
-  --async_outstanding_;
+  PopRefreshDone(out);
   return true;
 }
 

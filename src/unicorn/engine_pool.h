@@ -57,11 +57,6 @@ struct ShardPoolOptions {
   // working-set behavior, since there is nobody to share with. Off = every
   // shard keeps its private cache and the cross-shard counters stay zero.
   bool share_ci_cache = true;
-  // Entry budget of the shared cache before coarse eviction kicks in
-  // (~80 bytes/entry, so the default bounds it near 20 MB). Entries are
-  // pure memoization, so eviction costs re-evaluation, never correctness.
-  // Only meaningful with share_ci_cache.
-  size_t shared_cache_entries = 1 << 18;
 };
 
 // Fleet-style aggregate over every shard's EngineStats, plus the pool-level
@@ -89,7 +84,7 @@ struct ShardPoolStats {
   // and the multi-shard batches of RefreshShards, which start theirs the
   // same way. `widest_cross_policy_batch` is the most shard refreshes ever
   // observed running at once on the workers — each running job is a
-  // distinct shard (per-shard FIFO serialization), i.e. a distinct
+  // distinct shard (a shard refreshes once at a time), i.e. a distinct
   // objective group, so this is exactly the widest cross-policy refresh
   // batch the pool achieved. `overlap_seconds` is engine-internal refresh
   // time spent while the registered in-flight gauge (SetInFlightGauge: the
@@ -151,7 +146,6 @@ class EngineShardPool {
   size_t num_shards() const { return shards_.size(); }
   CausalModelEngine& shard(size_t index) { return *shards_[index]; }
   const CausalModelEngine& shard(size_t index) const { return *shards_[index]; }
-  const std::string& group_name(size_t index) const { return groups_[index]; }
 
   CICache& shared_cache() { return shared_cache_; }
 
@@ -172,11 +166,12 @@ class EngineShardPool {
   // StartRefreshAsync enqueues one shard refresh and returns immediately;
   // the refresh runs on the pool's refresh workers (max(1, refresh_threads)
   // of them, created lazily), and completion surfaces as a ShardRefreshDone
-  // carrying the caller's `token`. Same-shard requests are serialized in
-  // FIFO order (a shard never refreshes twice at once; its seeds apply in
-  // submission order), while requests for distinct shards run concurrently —
-  // that concurrency is the cross-policy refresh coalescing the ledger
-  // reports.
+  // carrying the caller's `token`. Refreshes of distinct shards run
+  // concurrently — that concurrency is the cross-policy refresh coalescing
+  // the ledger reports. A shard refreshes once at a time: starting a shard
+  // whose done event has not been popped yet throws std::logic_error (the
+  // caller orders a shard's refreshes, e.g. the pipelined scheduler's
+  // per-shard queue).
   // An empty shard skips the engine refresh but still delivers its done
   // event (mirroring RefreshShards' guard).
   //
@@ -213,21 +208,22 @@ class EngineShardPool {
  private:
   // Per-shard asynchronous bookkeeping, all under async_mu_.
   struct AsyncShardState {
-    bool busy = false;  // a refresh job for this shard is queued or running
-    std::deque<std::pair<uint64_t, uint64_t>> pending;  // (seed, token) FIFO
+    bool busy = false;  // a refresh was started and its done event not popped
     EngineStats snapshot;     // engine stats at the last completed refresh
     bool has_snapshot = false;
   };
 
-  // Runs one shard refresh on a worker: executes, snapshots stats, delivers
-  // the done event, and chains the shard's next pending request if any.
+  // Runs one shard refresh on a worker: executes, snapshots stats, and
+  // delivers the done event.
   void RunAsyncRefresh(size_t shard_index, uint64_t seed, uint64_t token);
+  // Pops the oldest done event and releases its shard. Requires async_mu_
+  // held and a queued event.
+  void PopRefreshDone(ShardRefreshDone* out);
 
   std::vector<Variable> variables_;
   ShardPoolOptions options_;
   CICache shared_cache_;
   std::vector<std::unique_ptr<CausalModelEngine>> shards_;
-  std::vector<std::string> groups_;
   std::unordered_map<std::string, size_t> group_index_;
   // Pool-level refresh ledger (see ShardPoolStats).
   size_t refresh_batches_ = 0;

@@ -100,50 +100,27 @@ std::vector<std::vector<double>> MeasurementBroker::MeasureBatch(
     throw std::invalid_argument("MeasureBatch: environments must be empty or match configs");
   }
 
-  // The sync path rides the async one: submit, then drain our ticket's
-  // completions, deferring any stale async completions for their own
-  // consumers. Reassembly by index keeps request order deterministic no
-  // matter how the fleet routed or retried.
+  // The sync path rides the async one: submit, then resolve fleet
+  // completions until this batch has finished. Batches of earlier
+  // SubmitBatch calls that finish meanwhile stay queued for WaitBatch.
   obs::trace::Span span("broker.batch", "broker");
   span.SetArg("requests", static_cast<double>(configs.size()));
   const auto start = Clock::now();
-  const BatchTicket ticket = SubmitBatch(configs, environments);
-  std::vector<std::vector<double>> out(configs.size());
-  std::vector<BrokerCompletion> deferred;
-  const auto restore_deferred = [&] {
-    for (auto it = deferred.rbegin(); it != deferred.rend(); ++it) {
-      Requeue(std::move(*it));
-    }
-  };
-  // Drain the WHOLE batch even when a request fails: leaving its remaining
-  // completions in flight would pollute every later batch on this broker.
-  std::string first_error;
-  size_t resolved = 0;
-  while (resolved < ticket.size) {
-    BrokerCompletion done;
-    if (!WaitCompletion(&done)) {
-      restore_deferred();
+  const uint64_t id = SubmitBatch(configs, environments).id;
+  while (pending_.count(id) != 0) {
+    if (!ResolveFleetCompletion(std::numeric_limits<double>::infinity())) {
       throw std::runtime_error("measurement completion stream ended mid-batch");
     }
-    if (done.batch != ticket.id) {
-      deferred.push_back(std::move(done));
-      continue;
-    }
-    ++resolved;
-    if (!done.ok) {
-      if (first_error.empty()) {
-        first_error = done.error;
-      }
-      continue;
-    }
-    out[done.index] = std::move(done.row);
   }
-  restore_deferred();
+  BatchResult result;
+  TakeFinished(std::find_if(finished_.begin(), finished_.end(),
+                            [&](const BatchResult& batch) { return batch.id == id; }),
+               &result);
   stats_.batch_wall_seconds += std::chrono::duration<double>(Clock::now() - start).count();
-  if (!first_error.empty()) {
-    throw std::runtime_error("batch measurement failed permanently: " + first_error);
+  if (!result.error.empty()) {
+    throw std::runtime_error("batch measurement failed permanently: " + result.error);
   }
-  return out;
+  return std::move(result.rows);
 }
 
 BatchTicket MeasurementBroker::SubmitBatch(const std::vector<std::vector<double>>& configs,
@@ -161,17 +138,16 @@ BatchTicket MeasurementBroker::SubmitBatch(const std::vector<std::vector<double>
   span.SetArg("requests", static_cast<double>(configs.size()));
   BatchTicket ticket{next_batch_++, configs.size()};
   outstanding_requests_ += configs.size();
+  PendingBatch batch;
+  batch.result.id = ticket.id;
+  batch.result.rows.resize(configs.size());
+  batch.remaining = configs.size();
   size_t submitted = 0;
   for (size_t i = 0; i < configs.size(); ++i) {
     const std::string& env = EnvOf(environments, i);
     if (const std::vector<double>* row = CachedRow(configs[i], env)) {
-      BrokerCompletion done;
-      done.batch = ticket.id;
-      done.index = i;
-      done.config = configs[i];
-      done.environment = env;
-      done.row = *row;
-      ready_.push_back(std::move(done));
+      batch.result.rows[i] = *row;
+      --batch.remaining;
       ++stats_.cache_hits;
       continue;
     }
@@ -201,25 +177,23 @@ BatchTicket MeasurementBroker::SubmitBatch(const std::vector<std::vector<double>
   }
   Metrics().measured->Add(submitted);
   Metrics().cache_hits->Add(configs.size() - submitted);
+  if (batch.remaining == 0) {
+    finished_.push_back(std::move(batch.result));
+  } else {
+    pending_.emplace(ticket.id, std::move(batch));
+  }
   return ticket;
 }
 
-void MeasurementBroker::DrainOneFleetCompletion() {
+bool MeasurementBroker::ResolveFleetCompletion(double timeout_seconds) {
   FleetCompletion done;
-  if (!fleet_->WaitCompletion(&done)) {
-    // Waiters exist but the fleet has nothing outstanding: every remaining
-    // waiter is unservable (should not happen — Submit always completes).
-    fleet_waiters_.clear();
-    return;
+  if (!fleet_->WaitCompletionFor(&done, timeout_seconds)) {
+    return false;
   }
-  ResolveFleetCompletion(std::move(done));
-}
-
-void MeasurementBroker::ResolveFleetCompletion(FleetCompletion done) {
   stats_.busy_seconds += done.measure_seconds;
   const auto waiters_it = fleet_waiters_.find(done.ticket);
   if (waiters_it == fleet_waiters_.end()) {
-    return;  // a completion nobody asked for (impossible by construction)
+    return true;  // a completion nobody asked for (impossible by construction)
   }
   const std::vector<Waiter> waiters = std::move(waiters_it->second);
   fleet_waiters_.erase(waiters_it);
@@ -245,65 +219,42 @@ void MeasurementBroker::ResolveFleetCompletion(FleetCompletion done) {
     Metrics().failures->Add(waiters.size());
   }
   for (const Waiter& waiter : waiters) {
-    BrokerCompletion completion;
-    completion.batch = waiter.batch;
-    completion.index = waiter.index;
-    completion.config = done.config;
-    completion.environment = done.environment;
+    const auto batch_it = pending_.find(waiter.batch);
+    PendingBatch& batch = batch_it->second;
     if (ok) {
-      completion.row = done.outcome.row;
-    } else {
-      completion.ok = false;
-      completion.error = done.outcome.error;
+      batch.result.rows[waiter.index] = done.outcome.row;
+    } else if (waiter.index < batch.first_failed) {
+      batch.first_failed = waiter.index;
+      batch.result.error = done.outcome.error;
     }
-    ready_.push_back(std::move(completion));
+    if (--batch.remaining == 0) {
+      finished_.push_back(std::move(batch.result));
+      pending_.erase(batch_it);
+    }
   }
+  return true;
 }
 
-void MeasurementBroker::Requeue(BrokerCompletion completion) {
-  ready_.push_front(std::move(completion));
-  ++outstanding_requests_;
+void MeasurementBroker::TakeFinished(std::deque<BatchResult>::iterator batch, BatchResult* out) {
+  *out = std::move(*batch);
+  finished_.erase(batch);
+  outstanding_requests_ -= out->rows.size();
 }
 
-bool MeasurementBroker::WaitCompletion(BrokerCompletion* out) {
-  for (;;) {
-    if (!ready_.empty()) {
-      *out = std::move(ready_.front());
-      ready_.pop_front();
-      --outstanding_requests_;
-      return true;
-    }
-    if (!fleet_waiters_.empty()) {
-      DrainOneFleetCompletion();
-      continue;
-    }
-    return false;
-  }
+bool MeasurementBroker::WaitBatch(BatchResult* out) {
+  return WaitBatchFor(out, std::numeric_limits<double>::infinity());
 }
 
-bool MeasurementBroker::WaitCompletionFor(BrokerCompletion* out, double timeout_seconds) {
-  if (!ready_.empty()) {
-    *out = std::move(ready_.front());
-    ready_.pop_front();
-    --outstanding_requests_;
-    return true;
+bool MeasurementBroker::WaitBatchFor(BatchResult* out, double timeout_seconds) {
+  const auto start = Clock::now();
+  while (finished_.empty()) {
+    const double left =
+        timeout_seconds - std::chrono::duration<double>(Clock::now() - start).count();
+    if (fleet_waiters_.empty() || !ResolveFleetCompletion(left)) {
+      return false;  // nothing outstanding, or timed out
+    }
   }
-  if (fleet_waiters_.empty()) {
-    return false;  // nothing outstanding: a longer wait cannot help
-  }
-  FleetCompletion done;
-  if (!fleet_->WaitCompletionFor(&done, timeout_seconds)) {
-    return false;  // timed out (or the fleet drained under us)
-  }
-  ResolveFleetCompletion(std::move(done));
-  // One fleet completion fans out to >= 1 waiting requests, so ready_ is
-  // nonempty here by construction; fall through to hand the first one out.
-  if (ready_.empty()) {
-    return false;
-  }
-  *out = std::move(ready_.front());
-  ready_.pop_front();
-  --outstanding_requests_;
+  TakeFinished(finished_.begin(), out);
   return true;
 }
 

@@ -15,20 +15,20 @@
 // workers. An exception from task.measure fails only its own request, with
 // no retry, and leaves the broker usable.
 //
-// Synchronous MeasureBatch submits the batch and drains its completions,
+// Synchronous MeasureBatch submits the batch and waits until it finished,
 // returning rows in deterministic request order. Because harness tasks
 // measure as a pure function of the configuration (per-call RNG derived
 // from the config hash), a batch of N — on any fleet of homogeneous
 // backends, with or without injected transient failures — is bit-identical
-// to N serial calls: the dedup cache sits in front of the fleet and
-// reassembly is ticket-ordered.
+// to N serial calls: the dedup cache sits in front of the fleet and every
+// row lands at its request index.
 //
-// The asynchronous path (SubmitBatch + WaitCompletion) exposes the fleet's
-// completion stream: rows surface as they land, so a campaign can absorb
-// one policy's batch while another's is still in flight instead of blocking
-// every policy on a per-round barrier. The stream's order is run-to-run
-// stable only on a fleet with one worker; with more, it follows thread
-// timing.
+// The asynchronous path (SubmitBatch + WaitBatch) hands out whole batches
+// as they finish: the broker assembles each batch's rows in request order,
+// so a campaign can absorb one policy's batch while another's is still in
+// flight instead of blocking every policy on a per-round barrier. The
+// finish order is run-to-run stable only on a fleet with one worker; with
+// more, it follows thread timing.
 //
 // Environments: every request optionally carries an environment tag. The
 // tag restricts routing to exactly-matching backends (see BackendFleet) —
@@ -44,6 +44,7 @@
 #include <chrono>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -114,14 +115,13 @@ struct BatchTicket {
   size_t size = 0;
 };
 
-// One finished request on the broker's completion stream.
-struct BrokerCompletion {
-  uint64_t batch = 0;  // BatchTicket::id it belongs to
-  size_t index = 0;    // request index within that batch
-  std::vector<double> config;
-  std::string environment;  // the tag the request was submitted with
-  std::vector<double> row;  // valid iff ok
-  bool ok = true;
+// One finished asynchronous batch.
+struct BatchResult {
+  uint64_t id = 0;  // BatchTicket::id
+  // One row per request, in request order; a failed request's row is empty.
+  std::vector<std::vector<double>> rows;
+  // The error of the first failed request in request order; "" when every
+  // request succeeded.
   std::string error;
 };
 
@@ -149,40 +149,36 @@ class MeasurementBroker {
   // untagged); a size mismatch throws std::invalid_argument. A request that
   // ultimately fails (retries exhausted, no eligible backend, task.measure
   // threw) throws std::runtime_error carrying its error once the whole batch
-  // drained: the synchronous contract has no partial result.
+  // drained: the synchronous contract has no partial result. Batches of
+  // earlier SubmitBatch calls that finish meanwhile stay queued for
+  // WaitBatch.
   std::vector<std::vector<double>> MeasureBatch(
       const std::vector<std::vector<double>>& configs,
       const std::vector<std::string>& environments = {});
 
   // --- asynchronous path ---------------------------------------------------
   //
-  // Submits a batch without waiting. Completions surface through
-  // WaitCompletion as rows land (out of order across and within batches;
-  // BrokerCompletion carries batch + index for reassembly). Cache hits
-  // complete immediately; a configuration already in flight is not
-  // re-submitted — its completion fans out to every waiting request.
-  // `environments` as in MeasureBatch.
+  // Submits a batch without waiting; it comes back whole from WaitBatch once
+  // its last request resolves. Cache hits fill their rows at submit, so a
+  // batch served entirely from cache is finished at once; a configuration
+  // already in flight is not re-submitted — its row is written into every
+  // batch waiting on it. `environments` as in MeasureBatch.
   BatchTicket SubmitBatch(const std::vector<std::vector<double>>& configs,
                           const std::vector<std::string>& environments = {});
 
-  // Blocks for the next completed request of any outstanding batch; false
-  // when nothing is outstanding. Failed requests come back ok=false (the
-  // async path reports failures instead of throwing). Not thread-safe —
-  // one thread drains the stream, like every other broker entry point.
-  bool WaitCompletion(BrokerCompletion* out);
+  // Blocks for the next finished batch, in finish order: WaitBatchFor with
+  // no deadline. False when nothing is outstanding. A failed request leaves
+  // its row empty and sets BatchResult::error (the async path reports
+  // failures instead of throwing). Not thread-safe — one thread drains the
+  // stream, like every other broker entry point.
+  bool WaitBatch(BatchResult* out);
 
-  // Timed WaitCompletion: false when nothing completed within
-  // `timeout_seconds` as well as when nothing is outstanding (check
-  // OutstandingRequests() to tell the two apart). Lets the pipelined
-  // campaign scheduler multiplex this stream with the shard pool's
-  // refresh-done events without stalling on either. Same single-consumer
-  // contract as WaitCompletion.
-  bool WaitCompletionFor(BrokerCompletion* out, double timeout_seconds);
-
-  // Hands a completion back to the stream (front of the queue). For
-  // consumers that popped a completion belonging to a batch someone else is
-  // draining — put it back instead of dropping the measured row.
-  void Requeue(BrokerCompletion completion);
+  // Timed WaitBatch: false when no batch finished within `timeout_seconds`
+  // as well as when nothing is outstanding (check OutstandingRequests() to
+  // tell the two apart). Lets the pipelined campaign scheduler multiplex
+  // this stream with the shard pool's refresh-done events without stalling
+  // on either. Same single-consumer contract as WaitBatch.
+  bool WaitBatchFor(BatchResult* out, double timeout_seconds);
 
   // Requests submitted asynchronously and not yet handed out.
   size_t OutstandingRequests() const;
@@ -228,17 +224,25 @@ class MeasurementBroker {
     }
   };
 
+  // A submitted batch whose rows are still being assembled.
+  struct PendingBatch {
+    BatchResult result;
+    size_t remaining = 0;  // requests not yet resolved
+    size_t first_failed = std::numeric_limits<size_t>::max();  // owner of result.error
+  };
+
   static const std::string& EnvOf(const std::vector<std::string>& environments, size_t i);
   const std::vector<double>* CachedRow(const std::vector<double>& config,
                                        const std::string& environment) const;
   void InsertCache(const std::vector<double>& config, const std::string& environment,
                    std::vector<double> row);
-  // Blocks on the fleet stream for one completion and resolves its waiters
-  // into ready_. Requires outstanding fleet work.
-  void DrainOneFleetCompletion();
-  // Shared tail of the blocking and timed drains: cache/in-flight
-  // bookkeeping plus waiter fan-out into ready_.
-  void ResolveFleetCompletion(FleetCompletion done);
+  // Waits up to `timeout_seconds` (infinite: no deadline) for one fleet
+  // completion and resolves it: cache/in-flight bookkeeping, then its row
+  // (or error) goes into every batch waiting on it, and each batch that
+  // this finishes moves to finished_. False when nothing arrived.
+  bool ResolveFleetCompletion(double timeout_seconds);
+  // Hands out a finished batch.
+  void TakeFinished(std::deque<BatchResult>::iterator batch, BatchResult* out);
 
   PerformanceTask task_;
   BrokerOptions options_;
@@ -249,12 +253,14 @@ class MeasurementBroker {
   std::vector<MeasurementTable::Entry> cache_entries_;
   std::unordered_map<EnvConfig, size_t, EnvConfigHash> cache_index_;
 
-  // Async bookkeeping: fleet ticket -> requests waiting on it, and which
+  // Async bookkeeping: fleet ticket -> requests waiting on it, which
   // (environment, config) requests are in flight (so repeats attach
-  // instead of re-submit).
+  // instead of re-submit), batches still assembling, and finished batches
+  // not yet handed out, in finish order.
   std::unordered_map<uint64_t, std::vector<Waiter>> fleet_waiters_;
   std::unordered_map<EnvConfig, uint64_t, EnvConfigHash> in_flight_;
-  std::deque<BrokerCompletion> ready_;
+  std::unordered_map<uint64_t, PendingBatch> pending_;
+  std::deque<BatchResult> finished_;
   uint64_t next_batch_ = 1;
   size_t outstanding_requests_ = 0;
   // Opens when fleet_waiters_ goes empty -> nonempty (first Submit of a

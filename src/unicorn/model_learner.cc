@@ -13,6 +13,10 @@ namespace unicorn {
 
 namespace {
 
+// The warm-start staleness noise floor is kNoiseFloorScale / sqrt(n_rows)
+// (see EngineOptions::stale_epsilon).
+constexpr double kNoiseFloorScale = 1.0;
+
 // Process-wide engine instruments, summed across every shard/engine (the
 // per-instance EngineStats ledger stays the per-shard view).
 struct EngineMetrics {
@@ -145,10 +149,9 @@ void CausalModelEngine::SyncAppendedRows() {
     // builds it from the full table) or it is already current.
     return;
   }
-  // The same bring-up-to-date step Refresh() performs, hoisted so absorption
-  // can pay it off the search path: G² codes extend over the appended rows
-  // (recoding from scratch only where extension cannot be bit-identical),
-  // Fisher-Z ranks refresh, strata re-derive lazily.
+  // G² codes extend over the appended rows (recoding from scratch only where
+  // extension cannot be bit-identical), Fisher-Z ranks refresh, strata
+  // re-derive lazily.
   test_->Update(data_, pool_.get());
   // Cached p-values are keyed on the table fingerprint, so every private
   // entry from the previous size is now unreachable; dropping them keeps
@@ -159,20 +162,6 @@ void CausalModelEngine::SyncAppendedRows() {
     cache_.Clear();
   }
   test_rows_ = data_.NumRows();
-}
-
-void CausalModelEngine::AbsorbIncremental(const std::vector<std::vector<double>>& rows,
-                                          RowProvenance provenance) {
-  for (const auto& row : rows) {
-    AddRow(row, provenance);
-  }
-  SyncAppendedRows();
-}
-
-void CausalModelEngine::AbsorbIncremental(const std::vector<double>& row,
-                                          RowProvenance provenance) {
-  AddRow(row, provenance);
-  SyncAppendedRows();
 }
 
 size_t CausalModelEngine::ComputeDirtyPairs(std::vector<char>* dirty,
@@ -205,9 +194,8 @@ size_t CausalModelEngine::ComputeDirtyPairs(std::vector<char>* dirty,
   // evidence of change; the floor keeps early refreshes (small n, noisy
   // correlations) from re-testing everything.
   const double noise_floor =
-      data_.NumRows() > 0 && engine_options_.noise_floor_scale > 0.0
-          ? engine_options_.noise_floor_scale / std::sqrt(static_cast<double>(data_.NumRows()))
-          : 0.0;
+      data_.NumRows() > 0 ? kNoiseFloorScale / std::sqrt(static_cast<double>(data_.NumRows()))
+                          : 0.0;
   const double threshold = std::max(engine_options_.stale_epsilon, noise_floor);
   size_t clean = 0;
   for (size_t a = 0; a < n; ++a) {
@@ -263,8 +251,7 @@ const LearnedModel& CausalModelEngine::Refresh(uint64_t seed) {
   }
 
   // Bring the CI tests up to date with the appended rows (streaming /
-  // lazy: ranks are recomputed, codes and strata re-derive on demand). A
-  // no-op when AbsorbIncremental already paid this during absorption.
+  // lazy: ranks are recomputed, codes and strata re-derive on demand).
   {
     TRACE_SPAN("engine.sync_rows", "engine");
     if (test_ == nullptr) {

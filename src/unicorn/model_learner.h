@@ -56,14 +56,11 @@ struct EngineOptions {
   // previous adjacency, separating set, and entropic orientation. 0 disables
   // warm starts entirely — every refresh is a full, exact relearn (the
   // default: incremental mode is an explicit opt-in because it trades exact
-  // PC-stable semantics for speed, as the paper's Stage IV does).
+  // PC-stable semantics for speed, as the paper's Stage IV does). With warm
+  // starts enabled the effective threshold is max(stale_epsilon,
+  // 1 / sqrt(n_rows)): a correlation estimate's sampling noise is
+  // ~1/sqrt(n), and shifts within it never mark a pair dirty.
   double stale_epsilon = 0.0;
-  // The sampling noise of a correlation estimate is ~1/sqrt(n): with warm
-  // starts enabled, the effective staleness threshold is
-  // max(stale_epsilon, noise_floor_scale / sqrt(n_rows)), so shifts
-  // indistinguishable from noise never mark a pair dirty. 0 disables the
-  // floor (the fixed epsilon alone decides).
-  double noise_floor_scale = 1.0;
   // With warm starts enabled, every k-th refresh is still a full relearn so
   // approximation error cannot accumulate across iterations.
   size_t full_refresh_every = 8;
@@ -148,26 +145,6 @@ class CausalModelEngine {
   // Pre-allocates storage for `rows` total measurements.
   void Reserve(size_t rows);
 
-  // First-class incremental absorption (the pipelined campaign scheduler's
-  // absorb contract): appends the rows and immediately synchronizes the CI
-  // test state with the grown table through the O(appended) incremental
-  // paths — G² codes extend in place (full recode only where extension
-  // cannot reproduce the from-scratch coding bit-identically), Fisher-Z
-  // ranks refresh — instead of deferring that work to the next Refresh().
-  // Bit-identical to AddRow-then-Refresh by the kernel equivalence contract
-  // (stats/independence.h Update); a Refresh() after AbsorbIncremental finds
-  // the test state already current and goes straight to the search. Rows
-  // absorbed before the first Refresh are simply appended (there is no test
-  // state to extend yet).
-  void AbsorbIncremental(const std::vector<std::vector<double>>& rows,
-                         RowProvenance provenance = RowProvenance::kTarget);
-  void AbsorbIncremental(const std::vector<double>& row,
-                         RowProvenance provenance = RowProvenance::kTarget);
-  // The sync half of AbsorbIncremental, exposed for callers that appended
-  // through AddRow/AppendRows: one incremental CI-state update covering every
-  // row added since the last Refresh/Sync. No-op when already current.
-  void SyncAppendedRows();
-
   // Shared-cache mode (the sharded reasoning plane, see unicorn/engine_pool):
   // from the next refresh on, CI results are memoized in `shared` instead of
   // the engine-private cache, attributed to `shard_id`. Entries are keyed on
@@ -209,6 +186,13 @@ class CausalModelEngine {
   const EngineStats& stats() const { return stats_; }
 
  private:
+  // Brings the CI test state up to date with every row appended since the
+  // last refresh through the O(appended) incremental paths — G² codes
+  // extend in place (full recode only where extension cannot reproduce the
+  // from-scratch coding bit-identically), Fisher-Z ranks refresh.
+  // Bit-identical to a from-scratch build by the kernel equivalence
+  // contract (stats/independence.h Update). No-op when already current.
+  void SyncAppendedRows();
   // Marks pairs whose endpoints' streaming correlation profile moved more
   // than stale_epsilon since the last refresh, comparing the batched
   // correlation scan `current` (PearsonUpperTri layout) against the last

@@ -466,8 +466,8 @@ TEST(BackendFleetTest, EnvironmentAwareRoutingPinsTaggedRequests) {
 }
 
 TEST(BackendFleetTest, SyncBatchDefersAnOutstandingAsyncBatchsCompletions) {
-  // A sync MeasureBatch draining the shared fleet stream must hand back —
-  // not swallow — completions that belong to an earlier async batch.
+  // A sync MeasureBatch draining the shared fleet stream returns its own
+  // rows and leaves an earlier async batch queued — whole — for WaitBatch.
   const Scenario s = MakeScenario(95);
   const auto async_configs = SampleBatch(s.task, 10, 96);
   const auto sync_configs = SampleBatch(s.task, 10, 97);
@@ -478,18 +478,43 @@ TEST(BackendFleetTest, SyncBatchDefersAnOutstandingAsyncBatchsCompletions) {
   MeasurementBroker broker(s.task, MakeDeviceFleet(s, 95, 2, 0.0, 0.0));
   const BatchTicket ticket = broker.SubmitBatch(async_configs);
   EXPECT_EQ(broker.MeasureBatch(sync_configs), sync_reference);
+  EXPECT_EQ(broker.OutstandingRequests(), async_configs.size());
 
-  std::vector<std::vector<double>> rows(async_configs.size());
-  BrokerCompletion done;
-  size_t received = 0;
-  while (broker.WaitCompletion(&done)) {
-    ASSERT_TRUE(done.ok);
-    ASSERT_EQ(done.batch, ticket.id);
-    rows[done.index] = done.row;
-    ++received;
-  }
-  EXPECT_EQ(received, async_configs.size());
-  EXPECT_EQ(rows, async_reference);
+  BatchResult batch;
+  ASSERT_TRUE(broker.WaitBatch(&batch));
+  EXPECT_EQ(batch.id, ticket.id);
+  EXPECT_EQ(batch.error, "");
+  EXPECT_EQ(batch.rows, async_reference);
+  EXPECT_FALSE(broker.WaitBatch(&batch));
+  EXPECT_EQ(broker.OutstandingRequests(), 0u);
+}
+
+// The timed wait on the completion stream: a wait shorter than the device's
+// service time gives up while the request is outstanding, and a long one
+// delivers it the moment it lands.
+TEST(BackendFleetTest, TimedWaitTimesOutThenDelivers) {
+  const Scenario s = MakeScenario(97);
+  std::vector<std::unique_ptr<MeasurementBackend>> backends;
+  DeviceProfile profile;
+  profile.name = "sleepy";
+  profile.seed = 6000;
+  profile.service_time_mean = 0.1;
+  profile.sleep = true;
+  backends.push_back(
+      MakeDeviceBackend(s.model, Tx2(), DefaultWorkload(), 97, std::move(profile)));
+  BackendFleet fleet(std::move(backends));
+
+  const auto configs = SampleBatch(s.task, 1, 98);
+  FleetCompletion done;
+  EXPECT_FALSE(fleet.WaitCompletionFor(&done, 0.001));  // nothing outstanding
+  const uint64_t ticket = fleet.Submit(configs[0]);
+  EXPECT_FALSE(fleet.WaitCompletionFor(&done, 0.001));
+  EXPECT_EQ(fleet.Outstanding(), 1u);
+  ASSERT_TRUE(fleet.WaitCompletionFor(&done, 10.0));
+  EXPECT_EQ(done.ticket, ticket);
+  EXPECT_EQ(done.outcome.status, MeasureStatus::kOk);
+  EXPECT_EQ(done.outcome.row, s.task.measure(configs[0]));
+  EXPECT_FALSE(fleet.WaitCompletionFor(&done, 0.001));
 }
 
 TEST(BackendFleetTest, FleetBusyTimeLandsInTheLedger) {

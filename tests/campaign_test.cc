@@ -10,6 +10,7 @@
 #include "sysmodel/systems.h"
 #include "unicorn/debugger.h"
 #include "unicorn/optimizer.h"
+#include "util/rng.h"
 
 namespace unicorn {
 namespace {
@@ -311,6 +312,43 @@ TEST(CampaignTest, AsyncMultiPolicyCampaignCompletes) {
   ASSERT_FALSE(policy_b.result().fixed_config.empty());
   EXPECT_EQ(runner.engine().data().NumRows(),
             policy_a.result().measurements_used + policy_b.result().measurements_used);
+}
+
+// The async loops take every finished batch off the broker's stream as the
+// campaign's own, so a campaign refuses to start while a batch someone else
+// submitted is outstanding on the runner's broker; that batch stays
+// retrievable, and the campaign runs once it has been taken.
+TEST(CampaignTest, AsyncCampaignRefusedWhileBrokerHasOutstandingRequests) {
+  Scenario s = MakeScenario(SystemId::kXception, 309);
+  const Fault* fault = PickFault(s.curation);
+  ASSERT_NE(fault, nullptr);
+  const DebugOptions options = FastDebugOptions();
+
+  CampaignRunner runner(s.task, ToCampaignOptions(options));
+  Rng rng(310);
+  std::vector<std::vector<double>> configs;
+  for (size_t i = 0; i < 4; ++i) {
+    configs.push_back(s.task.sample_config(&rng));
+  }
+  const BatchTicket ticket = runner.broker().SubmitBatch(configs);
+
+  DebugPolicy policy(options, fault->config, GoalsForFault(s.curation, *fault));
+  EXPECT_THROW(runner.RunAsyncGrouped({GroupedPolicy{&policy, ""}}), std::logic_error);
+  EXPECT_EQ(runner.engine().data().NumRows(), 0u);  // no policy ran
+
+  BatchResult batch;
+  ASSERT_TRUE(runner.broker().WaitBatch(&batch));
+  EXPECT_EQ(batch.id, ticket.id);
+  EXPECT_EQ(batch.error, "");
+  ASSERT_EQ(batch.rows.size(), configs.size());
+  for (size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(batch.rows[i], s.task.measure(configs[i]));
+  }
+  EXPECT_EQ(runner.broker().OutstandingRequests(), 0u);
+
+  runner.RunAsyncGrouped({GroupedPolicy{&policy, ""}});
+  EXPECT_GT(policy.result().measurements_used, 0u);
+  EXPECT_EQ(runner.engine().data().NumRows(), policy.result().measurements_used);
 }
 
 // Distinct objective groups isolate policies completely: a policy debugged

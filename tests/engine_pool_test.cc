@@ -198,6 +198,8 @@ TEST(EnginePoolTest, ParallelBatchRefreshMatchesStandaloneEngines) {
 // RefreshShards waits for done events, so it must not start while an
 // asynchronous refresh is outstanding: their done events would mix. The
 // call is refused whole, and succeeds once the outstanding event is popped.
+// A shard refreshes once at a time, so a second StartRefreshAsync on it is
+// refused too until its done event is popped.
 TEST(EnginePoolTest, RefreshShardsRefusedWhileAsyncRefreshOutstanding) {
   ShardPoolOptions pool_options;
   pool_options.model = SmallModelOptions();
@@ -213,11 +215,15 @@ TEST(EnginePoolTest, RefreshShardsRefusedWhileAsyncRefreshOutstanding) {
   EXPECT_THROW(pool.RefreshShards({b}, 5), std::logic_error);
   EXPECT_EQ(pool.stats().refresh_batches, 0u);
   EXPECT_EQ(pool.shard(b).stats().refreshes, 0u);
+  EXPECT_THROW(pool.StartRefreshAsync(a, 6, /*token=*/78), std::logic_error);
+  EXPECT_EQ(pool.PendingAsyncRefreshes(), 1u);
 
   ShardRefreshDone done;
   ASSERT_TRUE(pool.WaitRefreshDone(&done));
   EXPECT_EQ(done.token, 77u);
   EXPECT_EQ(done.error, nullptr);
+  EXPECT_EQ(pool.shard(a).stats().refreshes, 1u);
+  EXPECT_FALSE(pool.TryPopRefreshDone(&done));  // the refused start queued nothing
   pool.RefreshShards({b}, 5);
   EXPECT_EQ(pool.stats().refresh_batches, 1u);
   EXPECT_EQ(pool.shard(b).stats().refreshes, 1u);

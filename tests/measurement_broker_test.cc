@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "eval/harness.h"
 #include "sysmodel/systems.h"
@@ -310,28 +313,70 @@ TEST(MeasurementBrokerTest, AsyncSubmitBatchStreamsCompletions) {
 
   MeasurementBroker broker(task);
   const BatchTicket first = broker.SubmitBatch(configs);
-  const BatchTicket second = broker.SubmitBatch(configs);  // all cache hits
+  // Every request of the second batch is still in flight for the first, so
+  // it is served entirely by in-flight coalescing.
+  const BatchTicket second = broker.SubmitBatch(configs);
   EXPECT_EQ(first.size, configs.size());
   EXPECT_EQ(broker.OutstandingRequests(), 2 * configs.size());
 
-  std::vector<std::vector<double>> rows_first(configs.size());
-  std::vector<std::vector<double>> rows_second(configs.size());
-  BrokerCompletion done;
-  size_t received = 0;
-  while (broker.WaitCompletion(&done)) {
-    ASSERT_TRUE(done.ok);
-    ASSERT_LT(done.index, configs.size());
-    if (done.batch != first.id) {
-      ASSERT_EQ(done.batch, second.id);  // no completion of an unknown batch
-    }
-    (done.batch == first.id ? rows_first : rows_second)[done.index] = done.row;
-    ++received;
+  std::vector<uint64_t> received;
+  BatchResult batch;
+  while (broker.WaitBatch(&batch)) {
+    ASSERT_TRUE(batch.id == first.id || batch.id == second.id) << "unknown id " << batch.id;
+    EXPECT_EQ(batch.error, "");
+    EXPECT_EQ(batch.rows, reference);
+    received.push_back(batch.id);
   }
-  EXPECT_EQ(received, 2 * configs.size());
+  std::sort(received.begin(), received.end());
+  EXPECT_EQ(received, (std::vector<uint64_t>{first.id, second.id}));
   EXPECT_EQ(broker.OutstandingRequests(), 0u);
-  EXPECT_EQ(rows_first, reference);
-  EXPECT_EQ(rows_second, reference);
   EXPECT_EQ(broker.stats().measured, 12u);  // one live measurement per unique config
+}
+
+// The async path reports rejected requests instead of throwing: their batch
+// comes back once, whole, with the rejected rows left empty and `error`
+// naming the first rejection in request order, while every other row is
+// measured and cached. Request 1 is rejected only after a pause, so with
+// several workers request 3's rejection lands first.
+TEST(MeasurementBrokerTest, AsyncBatchCarriesARejectedRequestsError) {
+  const PerformanceTask base = MakeTask(49);
+  const auto configs = SampleBatch(base, 6, 50);
+  PerformanceTask task = base;
+  task.measure = [base, configs](const std::vector<double>& config) {
+    if (config == configs[1]) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      throw std::invalid_argument("configuration 1 rejected");
+    }
+    if (config == configs[3]) {
+      throw std::invalid_argument("configuration 3 rejected");
+    }
+    return base.measure(config);
+  };
+  auto reference = MeasureSerially(base, configs);
+  reference[1].clear();  // rejected requests' rows stay empty
+  reference[3].clear();
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    BrokerOptions options;
+    options.num_threads = threads;
+    MeasurementBroker broker(task, options);
+    const BatchTicket ticket = broker.SubmitBatch(configs);
+    BatchResult batch;
+    ASSERT_TRUE(broker.WaitBatch(&batch));
+    EXPECT_EQ(batch.id, ticket.id);
+    EXPECT_NE(batch.error.find("configuration 1 rejected"), std::string::npos) << batch.error;
+    EXPECT_EQ(batch.rows, reference);
+    EXPECT_FALSE(broker.WaitBatch(&batch));
+    EXPECT_EQ(broker.OutstandingRequests(), 0u);
+    EXPECT_EQ(broker.stats().failures, 2u);
+
+    // The other rows were cached: measuring them again costs nothing.
+    const std::vector<std::vector<double>> accepted = {configs[0], configs[2], configs[4],
+                                                       configs[5]};
+    EXPECT_EQ(broker.MeasureBatch(accepted), MeasureSerially(base, accepted));
+    EXPECT_EQ(broker.stats().measured, configs.size());
+  }
 }
 
 TEST(MeasurementBrokerTest, DedupDisabledMeasuresEveryRequest) {

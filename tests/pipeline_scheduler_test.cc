@@ -3,8 +3,7 @@
 // bit-identical per policy to the synchronous RunGrouped loop — same graphs,
 // same rows in the same order, same CI-test counts — for any refresh-thread
 // and engine-thread count, with transient backend failures injected, and
-// through the legacy barrier engine too. AbsorbIncremental, the scheduler's
-// absorb contract, must match AddRow-then-Refresh on the same rows.
+// through the legacy barrier engine too.
 #include <gtest/gtest.h>
 
 #include "eval/harness.h"
@@ -247,11 +246,40 @@ TEST(PipelineSchedulerTest, PipelinedFleetWithTransientFailuresMatchesSync) {
   EXPECT_EQ(latest->widest_cross_policy_batch, pool_stats.widest_cross_policy_batch);
 }
 
+// Wants a refresh at round 0 on top of the wrapped policy's own requests.
+// No policy in src/ does, so this is the only way two same-group policies'
+// initial launches collide on one shard.
+class RefreshAtRoundZero : public CampaignPolicy {
+ public:
+  explicit RefreshAtRoundZero(CampaignPolicy* inner) : inner_(inner) {}
+
+  bool WantsRefresh(const CampaignContext& ctx) override {
+    const bool inner_wants = inner_->WantsRefresh(ctx);
+    return inner_wants || ctx.round == 0;
+  }
+  std::vector<std::vector<double>> Propose(CampaignContext& ctx) override {
+    return inner_->Propose(ctx);
+  }
+  std::vector<std::string> ProposalEnvironments(size_t proposal_size) override {
+    return inner_->ProposalEnvironments(proposal_size);
+  }
+  void Absorb(const std::vector<std::vector<double>>& configs,
+              const std::vector<std::vector<double>>& rows, CampaignContext& ctx) override {
+    inner_->Absorb(configs, rows, ctx);
+  }
+  bool Finished() const override { return inner_->Finished(); }
+  void Finalize(CampaignContext& ctx) override { inner_->Finalize(ctx); }
+
+ private:
+  CampaignPolicy* inner_;
+};
+
 // Policies sharing one objective group park behind each other's refreshes
-// instead of racing the shard; the campaign must still complete with every
-// accepted row in the one shared table (interleaving is completion-order
-// dependent, so only liveness and accounting are pinned — see the
-// RunAsyncGrouped contract).
+// instead of racing the shard — including at launch, when both want a
+// round-0 refresh; the campaign must still complete with every accepted row
+// in the one shared table (interleaving is completion-order dependent, so
+// only liveness and accounting are pinned — see the RunAsyncGrouped
+// contract).
 TEST(PipelineSchedulerTest, SameGroupPoliciesCompleteOnOneShard) {
   Scenario s = MakeScenario(SystemId::kXception, 314);
   const Fault* fault_a = PickFault(s.curation, 0);
@@ -267,103 +295,23 @@ TEST(PipelineSchedulerTest, SameGroupPoliciesCompleteOnOneShard) {
   campaign.seed = options.seed;
   campaign.refresh_threads = 2;
 
-  CampaignRunner runner(s.task, campaign);
-  DebugPolicy policy_a(options, fault_a->config, GoalsForFault(s.curation, *fault_a));
-  DebugPolicy policy_b(options, fault_b->config, GoalsForFault(s.curation, *fault_b));
-  runner.RunAsyncGrouped(
-      {GroupedPolicy{&policy_a, "shared"}, GroupedPolicy{&policy_b, "shared"}});
+  for (const bool refresh_at_round_zero : {false, true}) {
+    SCOPED_TRACE(refresh_at_round_zero ? "refresh at round 0" : "policies as built");
+    CampaignRunner runner(s.task, campaign);
+    DebugPolicy policy_a(options, fault_a->config, GoalsForFault(s.curation, *fault_a));
+    DebugPolicy policy_b(options, fault_b->config, GoalsForFault(s.curation, *fault_b));
+    RefreshAtRoundZero eager_a(&policy_a);
+    RefreshAtRoundZero eager_b(&policy_b);
+    CampaignPolicy* a = refresh_at_round_zero ? &eager_a : static_cast<CampaignPolicy*>(&policy_a);
+    CampaignPolicy* b = refresh_at_round_zero ? &eager_b : static_cast<CampaignPolicy*>(&policy_b);
+    runner.RunAsyncGrouped({GroupedPolicy{a, "shared"}, GroupedPolicy{b, "shared"}});
 
-  ASSERT_FALSE(policy_a.result().fixed_config.empty());
-  ASSERT_FALSE(policy_b.result().fixed_config.empty());
-  EXPECT_EQ(policy_a.result().shard, policy_b.result().shard);
-  EXPECT_EQ(runner.pool().shard(policy_a.result().shard).data().NumRows(),
-            policy_a.result().measurements_used + policy_b.result().measurements_used);
-}
-
-// --- AbsorbIncremental: the scheduler's engine-side contract ---------------
-
-DataTable MeasuredData(SystemId id, size_t rows, uint64_t seed) {
-  SystemSpec spec;
-  spec.num_events = 5;
-  const auto model = std::make_shared<SystemModel>(BuildSystem(id, spec));
-  Rng rng(seed);
-  std::vector<std::vector<double>> configs;
-  for (size_t i = 0; i < rows; ++i) {
-    configs.push_back(model->SampleConfig(&rng));
+    ASSERT_FALSE(policy_a.result().fixed_config.empty());
+    ASSERT_FALSE(policy_b.result().fixed_config.empty());
+    EXPECT_EQ(policy_a.result().shard, policy_b.result().shard);
+    EXPECT_EQ(runner.pool().shard(policy_a.result().shard).data().NumRows(),
+              policy_a.result().measurements_used + policy_b.result().measurements_used);
   }
-  return model->MeasureMany(configs, Tx2(), DefaultWorkload(), &rng);
-}
-
-CausalModelOptions SmallModelOptions() {
-  CausalModelOptions options;
-  options.fci.skeleton.max_cond_size = 2;
-  options.fci.skeleton.max_subsets = 16;
-  options.fci.max_pds_cond_size = 1;
-  options.entropic.latent.restarts = 1;
-  options.entropic.latent.iterations = 20;
-  return options;
-}
-
-// AbsorbIncremental == AddRow-then-Refresh on the same rows: identical
-// graphs, CI-test counts, and data fingerprints at every refresh point,
-// whether rows arrive one at a time or in batches.
-TEST(AbsorbIncrementalTest, MatchesBatchAbsorbAtEveryRefresh) {
-  const DataTable all = MeasuredData(SystemId::kX264, 90, 51);
-  const CausalModelOptions model_options = SmallModelOptions();
-
-  CausalModelEngine reference(all.Variables(), model_options);
-  CausalModelEngine chunked(all.Variables(), model_options);   // batch AbsorbIncremental
-  CausalModelEngine row_wise(all.Variables(), model_options);  // one row at a time
-
-  size_t next = 0;
-  const size_t chunk = 18;
-  uint64_t seed = 70;
-  while (next < all.NumRows()) {
-    const size_t end = std::min(next + chunk, all.NumRows());
-    std::vector<std::vector<double>> batch;
-    for (size_t r = next; r < end; ++r) {
-      reference.AddRow(all.Row(r));
-      row_wise.AbsorbIncremental(all.Row(r));
-      batch.push_back(all.Row(r));
-    }
-    chunked.AbsorbIncremental(batch);
-    next = end;
-
-    reference.Refresh(seed);
-    chunked.Refresh(seed);
-    row_wise.Refresh(seed);
-    ++seed;
-
-    EXPECT_EQ(chunked.data_fingerprint(), reference.data_fingerprint());
-    EXPECT_EQ(row_wise.data_fingerprint(), reference.data_fingerprint());
-    EXPECT_EQ(chunked.model().independence_tests, reference.model().independence_tests);
-    EXPECT_EQ(row_wise.model().independence_tests, reference.model().independence_tests);
-    EXPECT_TRUE(chunked.model().admg == reference.model().admg);
-    EXPECT_TRUE(row_wise.model().admg == reference.model().admg);
-    EXPECT_EQ(chunked.stats().tests_evaluated, reference.stats().tests_evaluated);
-    EXPECT_EQ(row_wise.stats().tests_evaluated, reference.stats().tests_evaluated);
-  }
-}
-
-// SyncAppendedRows is idempotent and safe before any refresh: rows absorbed
-// into a never-refreshed engine are plain appends, and a redundant sync does
-// not disturb the subsequent refresh.
-TEST(AbsorbIncrementalTest, SyncBeforeFirstRefreshAndRepeatedSyncAreNoOps) {
-  const DataTable all = MeasuredData(SystemId::kX264, 40, 52);
-  const CausalModelOptions model_options = SmallModelOptions();
-
-  CausalModelEngine reference(all.Variables(), model_options);
-  CausalModelEngine synced(all.Variables(), model_options);
-  for (size_t r = 0; r < all.NumRows(); ++r) {
-    reference.AddRow(all.Row(r));
-    synced.AbsorbIncremental(all.Row(r));
-    synced.SyncAppendedRows();  // redundant: AbsorbIncremental already synced
-  }
-  reference.Refresh(7);
-  synced.Refresh(7);
-  EXPECT_TRUE(synced.model().admg == reference.model().admg);
-  EXPECT_EQ(synced.model().independence_tests, reference.model().independence_tests);
-  EXPECT_EQ(synced.data_fingerprint(), reference.data_fingerprint());
 }
 
 }  // namespace

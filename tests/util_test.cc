@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/bounded_queue.h"
 #include "util/csv.h"
 #include "util/text_table.h"
 #include "util/thread_pool.h"
@@ -70,98 +69,6 @@ TEST(CsvTest, SplitHandlesEmptyAndQuotedFields) {
   EXPECT_EQ(CsvSplit("a,,c"), (std::vector<std::string>{"a", "", "c"}));
   EXPECT_EQ(CsvSplit("\"a,b\",c"), (std::vector<std::string>{"a,b", "c"}));
   EXPECT_EQ(CsvSplit(""), (std::vector<std::string>{""}));
-}
-
-TEST(BoundedQueueTest, FifoOrderAndTryPop) {
-  BoundedQueue<int> queue(4);
-  EXPECT_TRUE(queue.Push(1));
-  EXPECT_TRUE(queue.Push(2));
-  int value = 0;
-  EXPECT_TRUE(queue.TryPop(&value));
-  EXPECT_EQ(value, 1);
-  EXPECT_TRUE(queue.Pop(&value));
-  EXPECT_EQ(value, 2);
-  EXPECT_FALSE(queue.TryPop(&value));
-  EXPECT_EQ(queue.size(), 0u);
-}
-
-TEST(BoundedQueueTest, PushBlocksAtCapacityUntilPopped) {
-  BoundedQueue<int> queue(2);
-  ASSERT_TRUE(queue.Push(1));
-  ASSERT_TRUE(queue.Push(2));
-  std::atomic<bool> third_pushed{false};
-  std::thread producer([&] {
-    queue.Push(3);  // must block until the consumer makes room
-    third_pushed = true;
-  });
-  EXPECT_FALSE(third_pushed.load());
-  int value = 0;
-  ASSERT_TRUE(queue.Pop(&value));
-  producer.join();
-  EXPECT_TRUE(third_pushed.load());
-  EXPECT_EQ(queue.size(), 2u);
-}
-
-TEST(BoundedQueueTest, ForcePushExceedsCapacity) {
-  BoundedQueue<int> queue(1);
-  EXPECT_TRUE(queue.Push(1));
-  EXPECT_TRUE(queue.ForcePush(2));  // beyond the bound, without blocking
-  EXPECT_EQ(queue.size(), 2u);
-}
-
-TEST(BoundedQueueTest, CloseDrainsThenFails) {
-  BoundedQueue<int> queue(4);
-  queue.Push(7);
-  queue.Close();
-  EXPECT_FALSE(queue.Push(8));
-  EXPECT_FALSE(queue.ForcePush(9));
-  int value = 0;
-  EXPECT_TRUE(queue.Pop(&value));  // drains what was queued before the close
-  EXPECT_EQ(value, 7);
-  EXPECT_FALSE(queue.Pop(&value));
-}
-
-TEST(BoundedQueueTest, CloseWakesBlockedConsumer) {
-  BoundedQueue<int> queue(2);
-  std::thread consumer([&] {
-    int value = 0;
-    EXPECT_FALSE(queue.Pop(&value));  // blocked empty, then closed
-  });
-  queue.Close();
-  consumer.join();
-}
-
-TEST(BoundedQueueTest, DrainNowEmptiesTheQueue) {
-  BoundedQueue<int> queue(8);
-  for (int i = 0; i < 5; ++i) {
-    queue.Push(i);
-  }
-  const std::vector<int> drained = queue.DrainNow();
-  EXPECT_EQ(drained, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(queue.size(), 0u);
-}
-
-TEST(BoundedQueueTest, PopForTimesOutThenDelivers) {
-  BoundedQueue<int> queue(4);
-  int value = 0;
-  // Nothing queued: the timed pop returns false after the timeout.
-  EXPECT_FALSE(queue.PopFor(&value, std::chrono::milliseconds(5)));
-  queue.Push(41);
-  EXPECT_TRUE(queue.PopFor(&value, std::chrono::milliseconds(5)));
-  EXPECT_EQ(value, 41);
-
-  // A waiting PopFor wakes on arrival, well before a generous timeout.
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    queue.Push(42);
-  });
-  EXPECT_TRUE(queue.PopFor(&value, std::chrono::seconds(10)));
-  EXPECT_EQ(value, 42);
-  producer.join();
-
-  // Closed and drained reads as false, same as TryPop.
-  queue.Close();
-  EXPECT_FALSE(queue.PopFor(&value, std::chrono::milliseconds(5)));
 }
 
 TEST(ThreadPoolTest, SubmitRunsTasksAndDrainWaits) {
