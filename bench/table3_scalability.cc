@@ -120,8 +120,8 @@ BENCHMARK(BM_Discovery242Options)->Iterations(1);
 // Incremental engine vs. from-scratch relearning: a 40-iteration
 // UnicornDebugger::Debug run on the largest seeded system model (SQLite with
 // 242 options and 288 events), once with the stateful engine (warm starts +
-// CI cache + threaded sweep) and once with every iteration relearning from
-// scratch (the seed's behavior: no cache, no warm start, serial sweep).
+// threaded sweep) and once with every iteration relearning from scratch (the
+// seed's behavior: no warm start, serial sweep).
 // Goals are set near the distribution's floor so neither run terminates
 // early and both execute exactly max_iterations model refreshes.
 // Smoke mode (CI) shrinks the system and the budget so the binary proves it
@@ -184,18 +184,16 @@ void RunIncrementalComparison(bool smoke, bench::JsonResults* json = nullptr) {
 
   DebugOptions scratch = base;
   scratch.engine = EngineOptions{};  // exact relearn every iteration
-  scratch.engine.use_ci_cache = false;
   scratch.engine.num_threads = 1;
 
   DebugOptions incremental = base;
   incremental.engine.stale_epsilon = 0.05;
   incremental.engine.full_refresh_every = 8;
   incremental.engine.num_threads = 4;
-  incremental.engine.use_ci_cache = true;
 
   const LoopCost t_scratch = run("from-scratch", scratch, 900);
-  // Serial incremental too: the speedup comes from warm starts + caching,
-  // not from threads (which only help further on multicore hosts).
+  // Serial incremental too: the speedup comes from warm starts, not from
+  // threads (which only help further on multicore hosts).
   DebugOptions incremental_serial = incremental;
   incremental_serial.engine.num_threads = 1;
   const LoopCost t_serial = run("incr-serial", incremental_serial, 900);

@@ -8,7 +8,7 @@
 //      serially equivalent, and a full model discovery must produce the same
 //      graph either way. Any divergence exits non-zero.
 //   2. Per-refresh speed: the Table-3 incremental debugging workload (SQLite
-//      242 options, stateful engine with warm starts + CI cache), reporting
+//      242 options, stateful engine with warm starts), reporting
 //      seconds per model refresh against the recorded
 //      BENCH_table3_scalability.json baseline. Wall-clock ratios are
 //      reported, not gated (timing is hosted-CI noise; the determinism
@@ -29,7 +29,8 @@
 // Flags: --smoke (CI-sized workload), --json <path> (machine-readable
 // results, bench name "table_ci_kernels"), --gate-per-refresh <mult> (smoke
 // mode: fail if per-refresh exceeds mult x the recorded
-// smoke_per_refresh_seconds baseline), --trace/--metrics <path>
+// smoke_per_refresh_seconds baseline, or if BENCH_table_ci_kernels.json in
+// the working directory does not carry one), --trace/--metrics <path>
 // (observability artifacts; see docs/OBSERVABILITY.md).
 #include <charconv>
 #include <chrono>
@@ -196,11 +197,11 @@ bool RunKernelSelfCheck(bool smoke, int64_t* max_ulp_out, bool* graphs_identical
           }
         }
         if (idx_b != idx_s || (idx_b >= 0 && p_b != p_s) ||
-            batched.calls.load() != serial.calls.load()) {
+            batched.calls.Value() != serial.calls.Value()) {
           std::fprintf(stderr,
                        "SELF-CHECK FAIL: FirstIndependent not serially equivalent "
                        "(rows=%zu x=%d y=%d): idx %d vs %d, calls %lld vs %lld\n",
-                       rows, x, y, idx_b, idx_s, batched.calls.load(), serial.calls.load());
+                       rows, x, y, idx_b, idx_s, batched.calls.Value(), serial.calls.Value());
           ok = false;
         }
       }
@@ -316,7 +317,12 @@ bool RunPerRefreshStudy(bool smoke, bench::JsonResults* json, double gate_multip
     const double smoke_baseline =
         ReadBaselineKey("BENCH_table_ci_kernels.json", "smoke_per_refresh_seconds", 0.0);
     if (smoke_baseline <= 0.0) {
-      std::printf("per-refresh gate: no recorded smoke baseline; gate skipped\n");
+      // A gate that cannot find its baseline must fail, not pass: run it from
+      // the repository root, where the recorded file lives.
+      std::fprintf(stderr,
+                   "per-refresh gate: cannot read smoke_per_refresh_seconds from "
+                   "BENCH_table_ci_kernels.json in the working directory\n");
+      return false;
     } else if (per_refresh > gate_multiplier * smoke_baseline) {
       std::fprintf(stderr,
                    "PER-REFRESH REGRESSION: %.4fs > %.2fx the recorded smoke baseline %.4fs\n",

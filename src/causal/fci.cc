@@ -418,7 +418,7 @@ void PossibleDSepPhase(const CITest& test, const StructuralConstraints& constrai
 
 FciResult RunFci(const CITest& test, const StructuralConstraints& constraints, size_t num_vars,
                  const FciOptions& options, const SkeletonWarmStart& warm, ThreadPool* pool) {
-  const long long calls_at_entry = test.calls;
+  const long long calls_at_entry = test.calls.Value();
   FciResult result;
   // The pool serves the skeleton levels (Possible-D-SEP runs serially).
   obs::trace::Begin("fci.skeleton", "engine");
@@ -459,7 +459,7 @@ FciResult RunFci(const CITest& test, const StructuralConstraints& constraints, s
     constraints.ApplyOrientations(&g);
   }
 
-  result.tests_performed = test.calls - calls_at_entry;
+  result.tests_performed = test.calls.Value() - calls_at_entry;
   result.pag = std::move(g);
   return result;
 }

@@ -118,6 +118,12 @@ struct PairOutcome {
 // The per-pair body of the PC-stable level sweep. Reads only the frozen
 // adjacency and the (thread-safe) CI test, so pairs can run concurrently and
 // the outcome is independent of sweep order.
+//
+// Each (x, y | S) is asked at most once per pair. At level 0 both sides'
+// only set is {}, so one request decides the pair. At deeper levels side 1
+// runs only when side 0 found no separating set, so every set side 0
+// examined is known dependent and side 1 skips it: the first independent
+// set, and so the outcome, is the one the two-sided sweep would find.
 PairOutcome ExaminePair(const CITest& test, const StructuralConstraints& constraints,
                         const std::vector<std::vector<size_t>>& adj, size_t x, size_t y,
                         int d, const SkeletonOptions& options) {
@@ -126,64 +132,71 @@ PairOutcome ExaminePair(const CITest& test, const StructuralConstraints& constra
   // and a fresh pool/sets allocation per pair dominates the sweep's own cost.
   thread_local std::vector<size_t> pool;
   thread_local std::vector<std::vector<int>> sets;
+  BatchedCIRequest request;
+  request.x = static_cast<int>(x);
+  request.y = static_cast<int>(y);
+  request.sets = &sets;
+  request.alpha = options.alpha;
+  if (d == 0) {
+    out.tested = true;
+    sets.resize(1);
+    sets[0].clear();
+    out.removed = test.FirstIndependent(request) >= 0;
+    return out;
+  }
+  // Side 0's subsets, in the lexicographic order Subsets emits them.
+  std::vector<std::vector<size_t>> examined;
   // Candidate conditioning variables: adj(x)\{y} and adj(y)\{x}.
   for (int side = 0; side < 2; ++side) {
     const size_t from = side == 0 ? x : y;
     const size_t other = side == 0 ? y : x;
-    std::vector<std::vector<size_t>> subsets;
-    if (d == 0) {
-      // The only size-0 conditioning set is {} regardless of the pool, so the
-      // pool is not built; the request below is identical to the general path.
-      out.tested = true;
-      sets.resize(1);
-      sets[0].clear();
-    } else {
-      // Objectives are sinks (structural constraint): conditioning on a
-      // pure sink can only open collider paths, never block one, and
-      // near-deterministic objectives otherwise destroy true edges.
-      //
-      // For singleton conditioning sets the lexicographic enumeration in
-      // Subsets emits the first max_subsets pool entries and nothing else, so
-      // the adjacency scan can stop there. Larger sets need the full pool:
-      // past the emitted prefix the lexicographic sequence depends on the
-      // pool's total size.
-      const bool cap_pool = d == 1;
-      const size_t pool_cap = std::max(options.max_subsets, static_cast<size_t>(d));
-      pool.clear();
-      for (size_t v : adj[from]) {
-        if (v != other && constraints.roles()[v] != VarRole::kObjective) {
-          pool.push_back(v);
-          if (cap_pool && pool.size() >= pool_cap) {
-            break;
-          }
+    // Objectives are sinks (structural constraint): conditioning on a
+    // pure sink can only open collider paths, never block one, and
+    // near-deterministic objectives otherwise destroy true edges.
+    //
+    // For singleton conditioning sets the lexicographic enumeration in
+    // Subsets emits the first max_subsets pool entries and nothing else, so
+    // the adjacency scan can stop there. Larger sets need the full pool:
+    // past the emitted prefix the lexicographic sequence depends on the
+    // pool's total size.
+    const bool cap_pool = d == 1;
+    const size_t pool_cap = std::max(options.max_subsets, static_cast<size_t>(d));
+    pool.clear();
+    for (size_t v : adj[from]) {
+      if (v != other && constraints.roles()[v] != VarRole::kObjective) {
+        pool.push_back(v);
+        if (cap_pool && pool.size() >= pool_cap) {
+          break;
         }
       }
-      if (pool.size() < static_cast<size_t>(d)) {
-        continue;
-      }
-      out.tested = true;
-      subsets = Subsets(pool, static_cast<size_t>(d), options.max_subsets);
-      sets.resize(subsets.size());
-      for (size_t i = 0; i < subsets.size(); ++i) {
-        sets[i].assign(subsets[i].begin(), subsets[i].end());
+    }
+    if (pool.size() < static_cast<size_t>(d)) {
+      continue;
+    }
+    out.tested = true;
+    std::vector<std::vector<size_t>> subsets =
+        Subsets(pool, static_cast<size_t>(d), options.max_subsets);
+    // Both pools ascend (adjacency lists do), so both subset lists are
+    // sorted and a binary search finds side 0's sets.
+    sets.resize(subsets.size());
+    size_t kept = 0;
+    for (const std::vector<size_t>& subset : subsets) {
+      if (!std::binary_search(examined.begin(), examined.end(), subset)) {
+        sets[kept++].assign(subset.begin(), subset.end());
       }
     }
+    sets.resize(kept);
     // Submit the whole level for this side as one batched request: the test
     // examines the sets in subset order with the serial early exit, but can
     // amortize per-pair setup (coded columns, cache keys) across them.
-    BatchedCIRequest request;
-    request.x = static_cast<int>(x);
-    request.y = static_cast<int>(y);
-    request.sets = &sets;
-    request.alpha = options.alpha;
-    const int idx = test.FirstIndependent(request);
+    const int idx = sets.empty() ? -1 : test.FirstIndependent(request);
     if (idx >= 0) {
       out.removed = true;
-      if (d > 0) {
-        out.sepset = std::move(subsets[static_cast<size_t>(idx)]);
-      }
+      const std::vector<int>& sepset = sets[static_cast<size_t>(idx)];
+      out.sepset.assign(sepset.begin(), sepset.end());
       return out;
     }
+    examined = std::move(subsets);
   }
   return out;
 }
@@ -193,7 +206,7 @@ PairOutcome ExaminePair(const CITest& test, const StructuralConstraints& constra
 SkeletonResult LearnSkeleton(const CITest& test, const StructuralConstraints& constraints,
                              size_t num_vars, const SkeletonOptions& options,
                              const SkeletonWarmStart& warm, ThreadPool* pool) {
-  const long long calls_at_entry = test.calls;
+  const long long calls_at_entry = test.calls.Value();
   SkeletonResult result;
   result.graph = MixedGraph(num_vars);
   MixedGraph& g = result.graph;
@@ -279,7 +292,7 @@ SkeletonResult LearnSkeleton(const CITest& test, const StructuralConstraints& co
       break;
     }
   }
-  result.tests_performed = test.calls - calls_at_entry;
+  result.tests_performed = test.calls.Value() - calls_at_entry;
   return result;
 }
 

@@ -9,7 +9,9 @@
 //   * The per-level edge sweep can run on a thread pool. PC-stable freezes
 //     adjacency within a level, so same-level pairs are independent; per-pair
 //     outcomes are merged in deterministic pair order and the result is
-//     bit-identical to the serial sweep for any thread count.
+//     bit-identical to the serial sweep for any thread count. A pair asks
+//     each (x, y | S) once: its second side skips the sets its first side
+//     already found dependent, which leaves every outcome unchanged.
 //   * A warm start adopts the previous refresh's decision (edge present or
 //     absent + separating set) for every pair whose endpoint statistics did
 //     not change materially, and re-tests only the dirty pairs.
@@ -124,7 +126,8 @@ struct SkeletonResult {
   MixedGraph graph;  // all present edges carry circle-circle marks
   SepsetMap sepsets;
   // CI tests requested during the search (derived from CITest::calls, so it
-  // can never disagree with the test's own accounting).
+  // can never disagree with the test's own accounting): the two-sided
+  // sweep's requests minus the repeats a pair no longer asks.
   long long tests_performed = 0;
 };
 

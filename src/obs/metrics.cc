@@ -6,22 +6,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <functional>
-#include <thread>
 
 namespace unicorn {
 namespace obs {
-
-namespace internal {
-
-size_t ShardIndex() {
-  // One hash per thread, cached: the hot path is a thread_local read.
-  static thread_local const size_t shard =
-      std::hash<std::thread::id>()(std::this_thread::get_id()) % kShards;
-  return shard;
-}
-
-}  // namespace internal
 
 namespace {
 
@@ -71,14 +58,6 @@ void AppendJsonNumber(std::string* out, double value) {
 
 }  // namespace
 
-uint64_t Counter::Value() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard.value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 double Histogram::UpperBound(size_t i) {
   if (i >= kNumBuckets) {
     i = kNumBuckets - 1;
@@ -111,7 +90,7 @@ size_t Histogram::BucketFor(double value) {
 }
 
 void Histogram::Record(double value) {
-  Shard& shard = shards_[internal::ShardIndex()];
+  Shard& shard = shards_[CounterShard()];
   shard.counts[BucketFor(value)].fetch_add(1, std::memory_order_relaxed);
   AtomicAddDouble(&shard.sum_bits, value);
 }
@@ -245,9 +224,7 @@ void MetricsRegistry::ResetForTest() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, counter] : counters_) {
     (void)name;
-    for (auto& shard : counter->shards_) {
-      shard.value.store(0, std::memory_order_relaxed);
-    }
+    counter->count_.Reset();
   }
   for (auto& [name, gauge] : gauges_) {
     (void)name;

@@ -2,11 +2,12 @@
 // log-bucketed histograms, updatable from any thread on hot paths.
 //
 // Design
-//   * Counters and histograms are sharded: each instrument keeps kShards
-//     cache-line-padded cells and a thread hashes its id to pick one, so
-//     concurrent updates from different threads almost never contend on a
-//     cache line. Updates are relaxed atomics — no locks, no fences on the
-//     hot path. Shards are merged only on snapshot.
+//   * Counters and histograms are sharded: a Counter is a util
+//     ShardedCounter, and a histogram keeps one cache-line-aligned shard per
+//     ShardedCounter cell, picked by the same per-thread round-robin index
+//     (util/sharded_counter.h), so concurrent updates from different threads
+//     almost never contend on a cache line. Updates are relaxed atomics — no
+//     locks, no fences on the hot path. Shards are merged only on snapshot.
 //   * Gauges are a single atomic double (last-writer-wins Set, CAS Add):
 //     gauges track "current level" (queue depth, in-flight rows), where a
 //     total ordering per update is the semantics, not a cost to shard away.
@@ -34,26 +35,12 @@
 #include <string>
 #include <vector>
 
+#include "util/sharded_counter.h"
+
 namespace unicorn {
 namespace obs {
 
 #ifndef UNICORN_NO_OBS
-
-namespace internal {
-
-constexpr size_t kShards = 8;
-constexpr size_t kCacheLine = 64;
-
-// One padded atomic per shard so two threads bumping the same counter from
-// different shards never share a cache line.
-struct alignas(kCacheLine) PaddedU64 {
-  std::atomic<uint64_t> value{0};
-  char pad[kCacheLine - sizeof(std::atomic<uint64_t>)];
-};
-
-size_t ShardIndex();  // hash of the calling thread's id, cached thread-local
-
-}  // namespace internal
 
 /// Monotonic event count. Add/Increment are wait-free relaxed atomics on a
 /// per-thread shard; Value() merges the shards (approximate only in the
@@ -61,15 +48,13 @@ size_t ShardIndex();  // hash of the calling thread's id, cached thread-local
 class Counter {
  public:
   void Increment() { Add(1); }
-  void Add(uint64_t delta) {
-    shards_[internal::ShardIndex()].value.fetch_add(delta, std::memory_order_relaxed);
-  }
-  uint64_t Value() const;
+  void Add(uint64_t delta) { count_.Add(static_cast<long long>(delta)); }
+  uint64_t Value() const { return static_cast<uint64_t>(count_.Value()); }
 
  private:
   friend class MetricsRegistry;
   Counter() = default;
-  internal::PaddedU64 shards_[internal::kShards];
+  ShardedCounter count_;
 };
 
 /// Current-level instrument (queue depth, busy seconds so far). Set is a
@@ -127,7 +112,7 @@ class Histogram {
   friend class MetricsRegistry;
   Histogram() = default;
 
-  struct alignas(internal::kCacheLine) Shard {
+  struct alignas(kCacheLine) Shard {
     std::atomic<uint64_t> counts[kNumBuckets];
     std::atomic<uint64_t> sum_bits{0};  // double accumulated via CAS on bits
     Shard() {
@@ -136,7 +121,7 @@ class Histogram {
       }
     }
   };
-  Shard shards_[internal::kShards];
+  Shard shards_[kCounterShards];
 };
 
 /// Process-wide instrument namespace. Instruments are interned by name and

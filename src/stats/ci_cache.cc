@@ -166,13 +166,6 @@ size_t CICache::size() const {
   return total;
 }
 
-void CICache::Clear() {
-  for (Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    DropAll(&stripe);
-  }
-}
-
 bool CICache::SaveTo(const std::string& path) const {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
@@ -262,15 +255,15 @@ long long CICache::LoadFrom(const std::string& path, uint32_t shard) {
 }
 
 double CachedCITest::PValue(int x, int y, const std::vector<int>& s) const {
-  ++calls;
+  calls.Increment();
   if (cache_ == nullptr || !CICache::Cacheable(s)) {
     return inner_.PValue(x, y, s);
   }
   const CICache::Key key = CICache::MakeKey(x, y, s, n_rows_, table_tag_);
   if (const auto cached = cache_->LookupFrom(key, shard_)) {
-    ++hits_;
+    hits_.Increment();
     if (cached->cross_shard) {
-      ++cross_shard_hits_;
+      cross_shard_hits_.Increment();
     }
     return cached->p_value;
   }
@@ -287,12 +280,12 @@ int CachedCITest::FirstIndependent(const BatchedCIRequest& req, double* p_out) c
     // advancing this decorator's counter once per examined set as the serial
     // loop would.
     const int idx = inner_.FirstIndependent(req, p_out);
-    calls += idx >= 0 ? idx + 1 : static_cast<long long>(req.sets->size());
+    calls.Add(idx >= 0 ? idx + 1 : static_cast<long long>(req.sets->size()));
     return idx;
   }
   const auto& sets = *req.sets;
   for (size_t i = 0; i < sets.size(); ++i) {
-    ++calls;
+    calls.Increment();
     const std::vector<int>& s = sets[i];
     double p;
     if (!CICache::Cacheable(s)) {
@@ -300,9 +293,9 @@ int CachedCITest::FirstIndependent(const BatchedCIRequest& req, double* p_out) c
     } else {
       const CICache::Key key = CICache::MakeKey(req.x, req.y, s, n_rows_, table_tag_);
       if (const auto cached = cache_->LookupFrom(key, shard_)) {
-        ++hits_;
+        hits_.Increment();
         if (cached->cross_shard) {
-          ++cross_shard_hits_;
+          cross_shard_hits_.Increment();
         }
         p = cached->p_value;
       } else {

@@ -37,7 +37,6 @@
 #define UNICORN_STATS_CI_CACHE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -45,6 +44,7 @@
 #include <vector>
 
 #include "stats/independence.h"
+#include "util/sharded_counter.h"
 
 namespace unicorn {
 
@@ -95,7 +95,7 @@ class CICache {
   // `max_entries` > 0 bounds memory in long-lived shared mode: when a lock
   // stripe outgrows its share of the budget it is dropped wholesale (coarse
   // eviction — correctness never depends on an entry being present).
-  // 0 = unbounded (an engine-private cache clears itself every refresh).
+  // 0 = unbounded.
   explicit CICache(size_t max_entries = 0) : max_entries_(max_entries) {}
 
   std::optional<double> Lookup(const Key& key) {
@@ -115,10 +115,6 @@ class CICache {
   // Hits on entries another shard paid for — the shared-cache dividend.
   long long cross_shard_hits() const;
   size_t size() const;
-  // Drops every entry in O(stripes): each stripe bumps its generation, which
-  // turns every slot it holds into an empty one, and keeps its capacity for
-  // the next refresh's working set.
-  void Clear();
 
   // Cross-process persistence. Entries are keyed on the order-sensitive
   // table fingerprint (plus row count), so a snapshot taken against one
@@ -136,7 +132,8 @@ class CICache {
 
  private:
   // A slot is live only while its generation equals its stripe's; every
-  // other slot is empty, whatever key it still holds.
+  // other slot is empty, whatever key it still holds. Eviction drops a
+  // stripe by bumping its generation, keeping its capacity.
   struct Slot {
     Key key;
     double p_value = 0.0;
@@ -180,7 +177,8 @@ class CICache {
 // the inner test counts the p-values actually evaluated. `hits()` and
 // `cross_shard_hits()` count locally — exact for this decorator even while
 // other shards hammer the same cache concurrently. Evaluated p-values are
-// stored straight into the cache.
+// stored straight into the cache. With a null cache every request, whole
+// batches included, goes straight to the inner test.
 class CachedCITest : public CITest {
  public:
   CachedCITest(const CITest& inner, CICache* cache, uint64_t n_rows,
@@ -194,8 +192,8 @@ class CachedCITest : public CITest {
   int FirstIndependent(const BatchedCIRequest& req, double* p_out = nullptr) const override;
 
   const CITest& inner() const { return inner_; }
-  long long hits() const { return hits_.load(); }
-  long long cross_shard_hits() const { return cross_shard_hits_.load(); }
+  long long hits() const { return hits_.Value(); }
+  long long cross_shard_hits() const { return cross_shard_hits_.Value(); }
 
  private:
   const CITest& inner_;
@@ -203,8 +201,8 @@ class CachedCITest : public CITest {
   uint64_t n_rows_;
   uint64_t table_tag_;
   uint32_t shard_;
-  mutable std::atomic<long long> hits_{0};
-  mutable std::atomic<long long> cross_shard_hits_{0};
+  mutable ShardedCounter hits_;
+  mutable ShardedCounter cross_shard_hits_;
 };
 
 }  // namespace unicorn

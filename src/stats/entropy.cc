@@ -18,10 +18,6 @@ double DistributionEntropy(const std::vector<double>& weights) {
       total += w;
     }
   }
-  return DistributionEntropyWithTotal(weights, total);
-}
-
-double DistributionEntropyWithTotal(const std::vector<double>& weights, double total) {
   if (total <= 0.0) {
     return 0.0;
   }
@@ -29,6 +25,24 @@ double DistributionEntropyWithTotal(const std::vector<double>& weights, double t
   for (double w : weights) {
     if (w > 0.0) {
       h += PlogP(w / total);
+    }
+  }
+  return h;
+}
+
+std::vector<double> PlogPTable(size_t total) {
+  std::vector<double> table(total + 1, 0.0);
+  for (size_t c = 1; c <= total; ++c) {
+    table[c] = PlogP(static_cast<double>(c) / static_cast<double>(total));
+  }
+  return table;
+}
+
+double CountEntropy(const std::vector<uint32_t>& counts, const std::vector<double>& plogp) {
+  double h = 0.0;
+  for (uint32_t c : counts) {
+    if (c > 0) {
+      h += plogp[c];
     }
   }
   return h;

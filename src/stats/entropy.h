@@ -7,6 +7,8 @@
 #ifndef UNICORN_STATS_ENTROPY_H_
 #define UNICORN_STATS_ENTROPY_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "stats/discretize.h"
@@ -17,12 +19,16 @@ namespace unicorn {
 // (normalized internally; zero entries ignored).
 double DistributionEntropy(const std::vector<double>& weights);
 
-// Same value when `total` equals the sum of the positive weights. Exists for
-// callers that know the sum exactly without a pass — contingency counts are
-// exact integers summing to the row count, so floating-point summation order
-// cannot change the total and the result is bit-identical to
-// DistributionEntropy(weights).
-double DistributionEntropyWithTotal(const std::vector<double>& weights, double total);
+// Entropy terms by integer count: entry c of the returned table (c in
+// [0, total]) is the term DistributionEntropy adds for a weight of c when
+// the positive weights sum to `total`, -(c/total) log(c/total), and entry 0
+// is 0. Built once per row count, it replaces one log per contingency cell.
+std::vector<double> PlogPTable(size_t total);
+
+// DistributionEntropy of integer counts whose sum is the `plogp` table's
+// total, bit-identical to it: counts are exact in doubles, so the table
+// entries are the very terms it would add, in the same order.
+double CountEntropy(const std::vector<uint32_t>& counts, const std::vector<double>& plogp);
 
 // Empirical entropy (nats) of a coded column.
 double Entropy(const CodedColumn& x);

@@ -18,7 +18,7 @@ namespace {
 constexpr int kMaxPackedCode = 0xFFFF;
 
 // Scratch cap for the fused contingency kernel: contingency cubes beyond
-// this many cells (8 MiB of doubles) fall back to the unfused reference
+// this many cells (4 MiB of counts) fall back to the unfused reference
 // path, which allocates per call but never materializes the full cube
 // marginals at once.
 constexpr size_t kMaxFusedCells = size_t{1} << 20;
@@ -34,15 +34,14 @@ std::vector<uint16_t> PackCodes(const CodedColumn& col) {
   return packed;
 }
 
-// Single pass over the rows filling the (x, y, z) contingency cube. The cube
-// entries are exact small integers in doubles, so the count order does not
-// matter for bit-identity.
+// Single pass over the rows filling the (x, y, z) contingency cube with
+// integer counts.
 template <typename XT, typename YT, typename ZT>
 void CountTriples(const XT* x, const YT* y, const ZT* z, size_t n, size_t cy, size_t cz,
-                  double* counts) {
+                  uint32_t* counts) {
   for (size_t r = 0; r < n; ++r) {
-    counts[(static_cast<size_t>(x[r]) * cy + static_cast<size_t>(y[r])) * cz +
-           static_cast<size_t>(z[r])] += 1.0;
+    ++counts[(static_cast<size_t>(x[r]) * cy + static_cast<size_t>(y[r])) * cz +
+             static_cast<size_t>(z[r])];
   }
 }
 
@@ -158,22 +157,27 @@ double FisherZTest::PartialCorrelation(int x, int y, const std::vector<int>& s) 
   // Partial correlation via regression residuals in correlation space:
   // solve Css * bx = Csx and Css * by = Csy, then
   // r = (Cxy - bx'Csy) / sqrt((1 - bx'Csx)(1 - by'Csy)).
+  // The solver works in place, so each solve gets its own copy of Css; the
+  // scratch is per thread and reused across calls.
   const size_t k = s.size();
-  std::vector<std::vector<double>> css(k, std::vector<double>(k));
-  std::vector<double> csx(k);
-  std::vector<double> csy(k);
+  thread_local std::vector<double> css, css_y, csx, csy, bx, by;
+  css.resize(k * k);
+  csx.resize(k);
+  csy.resize(k);
   for (size_t i = 0; i < k; ++i) {
     for (size_t j = 0; j < k; ++j) {
-      css[i][j] = Correlation(static_cast<size_t>(s[i]), static_cast<size_t>(s[j]));
+      css[i * k + j] = Correlation(static_cast<size_t>(s[i]), static_cast<size_t>(s[j]));
     }
     // Tiny ridge keeps near-duplicate conditioning variables solvable.
-    css[i][i] += 1e-9;
+    css[i * k + i] += 1e-9;
     csx[i] = Correlation(static_cast<size_t>(s[i]), static_cast<size_t>(x));
     csy[i] = Correlation(static_cast<size_t>(s[i]), static_cast<size_t>(y));
   }
-  std::vector<double> bx;
-  std::vector<double> by;
-  if (!SolveLinearSystem(css, csx, &bx) || !SolveLinearSystem(css, csy, &by)) {
+  css_y = css;
+  bx = csx;
+  by = csy;
+  if (!SolveLinearSystem(k, css.data(), bx.data()) ||
+      !SolveLinearSystem(k, css_y.data(), by.data())) {
     return 0.0;
   }
   double num = Correlation(static_cast<size_t>(x), static_cast<size_t>(y));
@@ -198,7 +202,7 @@ double FisherZTest::PartialCorrelation(int x, int y, const std::vector<int>& s) 
 }
 
 double FisherZTest::PValue(int x, int y, const std::vector<int>& s) const {
-  ++calls;
+  calls.Increment();
   const double dof = static_cast<double>(n_) - static_cast<double>(s.size()) - 3.0;
   if (dof <= 0.0) {
     return 1.0;
@@ -214,7 +218,7 @@ double FisherZTest::PValue(int x, int y, const std::vector<int>& s) const {
 // --- GSquareTest ------------------------------------------------------------
 
 GSquareTest::GSquareTest(const DataTable& table, int max_bins)
-    : table_(&table), max_bins_(max_bins), rows_(table.NumRows()) {
+    : table_(&table), max_bins_(max_bins), rows_(table.NumRows()), plogp_(PlogPTable(rows_)) {
   ResetMemo();
 }
 
@@ -286,6 +290,7 @@ void GSquareTest::Update(const DataTable& table) {
                            table.NumRows() >= old_rows && table.NumVars() == coded_.size();
   table_ = &table;
   rows_ = table.NumRows();
+  plogp_ = PlogPTable(rows_);
   if (!incremental) {
     ResetMemo();
     ++epoch_counter_;  // conservatively invalidate any strata built later
@@ -427,13 +432,13 @@ double GSquareTest::PValueFrom(const ColumnState& sx, const ColumnState& sy,
     const size_t czc = static_cast<size_t>(std::max(1, cz.cardinality));
     if (cyc <= kMaxFusedCells / czc && cxc <= kMaxFusedCells / (cyc * czc)) {
       // Fused path: one pass over the rows fills the full contingency cube;
-      // the three entropies' marginals are derived from the cube. Every
-      // count is an exact integer (sums of disjoint cells stay exact), and
-      // DistributionEntropy consumes vectors laid out exactly as the
-      // unfused JointEntropy/Entropy path builds them, so the result is
-      // bit-identical to the reference arithmetic.
-      thread_local std::vector<double> counts, xz, yz, zc;
-      counts.assign(cxc * cyc * czc, 0.0);
+      // the three entropies' marginals are derived from the cube. Counts are
+      // integers laid out exactly as the unfused JointEntropy/Entropy path
+      // builds its vectors, and every row lands in exactly one cell, so each
+      // vector sums to n and CountEntropy over the snapshot's -p log p table
+      // adds the very terms the reference arithmetic adds, in its order.
+      thread_local std::vector<uint32_t> counts, xz, yz, zc;
+      counts.assign(cxc * cyc * czc, 0);
       if (!sx.packed.empty() && !sy.packed.empty() && !sz.packed.empty()) {
         CountTriples(sx.packed.data(), sy.packed.data(), sz.packed.data(), n, cyc, czc,
                      counts.data());
@@ -441,34 +446,30 @@ double GSquareTest::PValueFrom(const ColumnState& sx, const ColumnState& sy,
         CountTriples(cx.codes.data(), cy.codes.data(), cz.codes.data(), n, cyc, czc,
                      counts.data());
       }
-      xz.assign(cxc * czc, 0.0);
-      yz.assign(cyc * czc, 0.0);
-      zc.assign(czc, 0.0);
+      xz.assign(cxc * czc, 0);
+      yz.assign(cyc * czc, 0);
+      zc.assign(czc, 0);
       for (size_t x = 0; x < cxc; ++x) {
         for (size_t y = 0; y < cyc; ++y) {
-          const double* cell = &counts[(x * cyc + y) * czc];
-          double* xrow = &xz[x * czc];
-          double* yrow = &yz[y * czc];
+          const uint32_t* cell = &counts[(x * cyc + y) * czc];
+          uint32_t* xrow = &xz[x * czc];
+          uint32_t* yrow = &yz[y * czc];
           UNICORN_SIMD_LOOP
           for (size_t z = 0; z < czc; ++z) {
             xrow[z] += cell[z];
             yrow[z] += cell[z];
           }
         }
-        const double* xrow = &xz[x * czc];
+        const uint32_t* xrow = &xz[x * czc];
         UNICORN_SIMD_LOOP
         for (size_t z = 0; z < czc; ++z) {
           zc[z] += xrow[z];
         }
       }
-      // Every row lands in exactly one cube cell, so each vector's positive
-      // entries sum to exactly n (integer counts add exactly in doubles);
-      // passing the total skips one full scan per entropy, bit-identically.
-      const double total = static_cast<double>(n);
-      const double hxz = DistributionEntropyWithTotal(xz, total);
-      const double hyz = DistributionEntropyWithTotal(yz, total);
-      const double hxyz = DistributionEntropyWithTotal(counts, total);
-      const double hz = DistributionEntropyWithTotal(zc, total);
+      const double hxz = CountEntropy(xz, plogp_);
+      const double hyz = CountEntropy(yz, plogp_);
+      const double hxyz = CountEntropy(counts, plogp_);
+      const double hz = CountEntropy(zc, plogp_);
       const double cmi = std::max(0.0, hxz + hyz - hxyz - hz);
       const double g = 2.0 * static_cast<double>(n) * cmi;
       const double dof = std::max(
@@ -484,7 +485,7 @@ double GSquareTest::PValueFrom(const ColumnState& sx, const ColumnState& sy,
 }
 
 double GSquareTest::PValue(int x, int y, const std::vector<int>& s) const {
-  ++calls;
+  calls.Increment();
   if (rows_ == 0) {
     return 1.0;
   }
@@ -498,7 +499,7 @@ int GSquareTest::FirstIndependent(const BatchedCIRequest& req, double* p_out) co
   const auto& sets = *req.sets;
   if (rows_ == 0) {
     for (size_t i = 0; i < sets.size(); ++i) {
-      ++calls;
+      calls.Increment();
       if (1.0 >= req.alpha) {
         if (p_out != nullptr) {
           *p_out = 1.0;
@@ -515,7 +516,7 @@ int GSquareTest::FirstIndependent(const BatchedCIRequest& req, double* p_out) co
   const ColumnState& sx = Coded(static_cast<size_t>(req.x));
   const ColumnState& sy = Coded(static_cast<size_t>(req.y));
   for (size_t i = 0; i < sets.size(); ++i) {
-    ++calls;
+    calls.Increment();
     const StratumState& sz = Strata(sets[i]);
     const double p = PValueFrom(sx, sy, sz);
     if (p >= req.alpha) {
@@ -544,7 +545,7 @@ void CompositeTest::Update(const DataTable& table, ThreadPool* pool) {
 }
 
 double CompositeTest::PValue(int x, int y, const std::vector<int>& s) const {
-  ++calls;
+  calls.Increment();
   const bool continuous_pair = types_[static_cast<size_t>(x)] == VarType::kContinuous &&
                                types_[static_cast<size_t>(y)] == VarType::kContinuous;
   if (continuous_pair) {
@@ -560,7 +561,7 @@ int CompositeTest::FirstIndependent(const BatchedCIRequest& req, double* p_out) 
                                   : gsq_.FirstIndependent(req, p_out);
   // Serial equivalence: the dispatcher's counter advances once per examined
   // set, exactly as per-set PValue dispatch would.
-  calls += idx >= 0 ? idx + 1 : static_cast<long long>(req.sets->size());
+  calls.Add(idx >= 0 ? idx + 1 : static_cast<long long>(req.sets->size()));
   return idx;
 }
 

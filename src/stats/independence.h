@@ -27,9 +27,10 @@
 // Kernel layers (see stats/simd.h): FisherZTest stores its centered
 // mid-ranks as one aligned SoA block and reduces with the blocked dot;
 // GSquareTest keeps packed 16-bit codes next to the int codes and computes
-// the G statistic in a fused single-pass contingency kernel whose entropy
-// sums replicate the unfused reference arithmetic exactly (counts are exact
-// small integers), so its p-values are bit-identical to the legacy path.
+// the G statistic in a fused single-pass contingency kernel of integer
+// counts. Its entropies read each cell's -p log p from a per-snapshot table
+// indexed by count, the very terms the unfused reference arithmetic adds, so
+// its p-values are bit-identical to the legacy path.
 // simd::SetReferenceKernels(true) routes every test through the legacy
 // scalar arithmetic for equivalence pinning.
 #ifndef UNICORN_STATS_INDEPENDENCE_H_
@@ -45,6 +46,7 @@
 #include "stats/discretize.h"
 #include "stats/simd.h"
 #include "stats/table.h"
+#include "util/sharded_counter.h"
 
 namespace unicorn {
 
@@ -83,8 +85,10 @@ class CITest {
 
   // Number of tests issued so far (for scalability reporting). All discovery
   // code derives its test counts from this counter — never by hand — so the
-  // numbers in the scalability tables cannot disagree.
-  mutable std::atomic<long long> calls{0};
+  // numbers in the scalability tables cannot disagree. Sharded per thread:
+  // the sweep threads bump it once per examined set without sharing a cache
+  // line, and calls.Value() sums the shards.
+  mutable ShardedCounter calls;
 };
 
 // Fisher z-test on partial correlations. Assumes roughly Gaussian margins;
@@ -201,6 +205,9 @@ class GSquareTest : public CITest {
   const DataTable* table_;
   int max_bins_;
   size_t rows_ = 0;  // snapshot row count; codes/strata all have this length
+  // -p log p by integer count out of rows_ (PlogPTable), for the fused
+  // kernel's entropies.
+  std::vector<double> plogp_;
   // coded_ owns the columns; coded_ready_[v] publishes column v once built.
   mutable std::vector<std::unique_ptr<ColumnState>> coded_;
   std::unique_ptr<std::atomic<const ColumnState*>[]> coded_ready_;

@@ -1,43 +1,46 @@
 #include "stats/linalg.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace unicorn {
 
-bool SolveLinearSystem(std::vector<std::vector<double>> m, std::vector<double> rhs,
-                       std::vector<double>* x) {
-  const size_t n = rhs.size();
+bool SolveLinearSystem(size_t n, double* m, double* rhs) {
   for (size_t col = 0; col < n; ++col) {
     size_t pivot = col;
     for (size_t r = col + 1; r < n; ++r) {
-      if (std::fabs(m[r][col]) > std::fabs(m[pivot][col])) {
+      if (std::fabs(m[r * n + col]) > std::fabs(m[pivot * n + col])) {
         pivot = r;
       }
     }
-    if (std::fabs(m[pivot][col]) < 1e-12) {
+    if (std::fabs(m[pivot * n + col]) < 1e-12) {
       return false;
     }
-    std::swap(m[pivot], m[col]);
-    std::swap(rhs[pivot], rhs[col]);
-    const double inv = 1.0 / m[col][col];
+    if (pivot != col) {
+      std::swap_ranges(m + pivot * n, m + pivot * n + n, m + col * n);
+      std::swap(rhs[pivot], rhs[col]);
+    }
+    const double* pivot_row = m + col * n;
+    const double inv = 1.0 / pivot_row[col];
     for (size_t r = col + 1; r < n; ++r) {
-      const double f = m[r][col] * inv;
+      double* row = m + r * n;
+      const double f = row[col] * inv;
       if (f == 0.0) {
         continue;
       }
       for (size_t c = col; c < n; ++c) {
-        m[r][c] -= f * m[col][c];
+        row[c] -= f * pivot_row[c];
       }
       rhs[r] -= f * rhs[col];
     }
   }
-  x->assign(n, 0.0);
+  // Back substitution, overwriting rhs from the last row up.
   for (size_t ri = n; ri-- > 0;) {
     double acc = rhs[ri];
     for (size_t c = ri + 1; c < n; ++c) {
-      acc -= m[ri][c] * (*x)[c];
+      acc -= m[ri * n + c] * rhs[c];
     }
-    (*x)[ri] = acc / m[ri][ri];
+    rhs[ri] = acc / m[ri * n + ri];
   }
   return true;
 }

@@ -3,14 +3,15 @@
 #ifndef UNICORN_STATS_LINALG_H_
 #define UNICORN_STATS_LINALG_H_
 
-#include <vector>
+#include <cstddef>
 
 namespace unicorn {
 
-// Solves M x = rhs by Gaussian elimination with partial pivoting.
-// Returns false when M is numerically singular.
-bool SolveLinearSystem(std::vector<std::vector<double>> m, std::vector<double> rhs,
-                       std::vector<double>* x);
+// Solves M x = rhs in place by Gaussian elimination with partial pivoting.
+// `m` holds the n x n matrix row-major and is overwritten; `rhs` (n entries)
+// is replaced by the solution. Returns false when M is numerically singular,
+// leaving both buffers unspecified.
+bool SolveLinearSystem(size_t n, double* m, double* rhs);
 
 }  // namespace unicorn
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "stats/correlation.h"
 #include "stats/linalg.h"
@@ -135,8 +136,8 @@ InfluenceModel FitOls(const DataTable& table, const std::vector<RegressionTerm>&
   for (const auto& t : terms) {
     design.push_back(TermColumn(table, t));
   }
-  // Normal equations: (X'X + ridge I) b = X'y.
-  std::vector<std::vector<double>> xtx(k, std::vector<double>(k, 0.0));
+  // Normal equations: (X'X + ridge I) b = X'y, X'X row-major.
+  std::vector<double> xtx(k * k, 0.0);
   std::vector<double> xty(k, 0.0);
   const auto& y = table.Col(target_var);
   for (size_t a = 0; a < k; ++a) {
@@ -145,10 +146,10 @@ InfluenceModel FitOls(const DataTable& table, const std::vector<RegressionTerm>&
       for (size_t r = 0; r < n; ++r) {
         acc += design[a][r] * design[b][r];
       }
-      xtx[a][b] = acc;
-      xtx[b][a] = acc;
+      xtx[a * k + b] = acc;
+      xtx[b * k + a] = acc;
     }
-    xtx[a][a] += ridge;
+    xtx[a * k + a] += ridge;
     double acc = 0.0;
     for (size_t r = 0; r < n; ++r) {
       acc += design[a][r] * y[r];
@@ -157,7 +158,9 @@ InfluenceModel FitOls(const DataTable& table, const std::vector<RegressionTerm>&
   }
   InfluenceModel model;
   model.terms = terms;
-  if (!SolveLinearSystem(xtx, xty, &model.coefficients)) {
+  if (SolveLinearSystem(k, xtx.data(), xty.data())) {
+    model.coefficients = std::move(xty);
+  } else {
     model.coefficients.assign(k, 0.0);
     // Fall back to predicting the mean.
     double mean = 0.0;

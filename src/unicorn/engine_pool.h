@@ -53,9 +53,9 @@ struct ShardPoolOptions {
   int refresh_threads = 1;
   // All shards consult one process-wide CI cache (fingerprint-keyed; see
   // stats/ci_cache.h). Sharing engages lazily from the second shard on — a
-  // single-shard pool keeps the engine-private cache and its clear-on-growth
-  // working-set behavior, since there is nobody to share with. Off = every
-  // shard keeps its private cache and the cross-shard counters stay zero.
+  // single-shard pool runs uncached, since there is nobody to share with.
+  // Off = every shard evaluates every test it asks and the cross-shard
+  // counters stay zero.
   bool share_ci_cache = true;
 };
 

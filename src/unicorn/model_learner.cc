@@ -153,14 +153,6 @@ void CausalModelEngine::SyncAppendedRows() {
   // extension cannot be bit-identical), Fisher-Z ranks refresh, strata
   // re-derive lazily.
   test_->Update(data_, pool_.get());
-  // Cached p-values are keyed on the table fingerprint, so every private
-  // entry from the previous size is now unreachable; dropping them keeps
-  // the cache at one refresh's working set. A shared cache is left alone:
-  // other shards may still sit at a prefix this engine has grown past, and
-  // it bounds its own memory.
-  if (shared_cache_ == nullptr) {
-    cache_.Clear();
-  }
   test_rows_ = data_.NumRows();
 }
 
@@ -262,10 +254,12 @@ const LearnedModel& CausalModelEngine::Refresh(uint64_t seed) {
     }
   }
 
-  const long long evaluated_before = test_->calls;
+  const long long evaluated_before = test_->calls.Value();
 
-  CICache* cache = shared_cache_ != nullptr ? shared_cache_ : &cache_;
-  CachedCITest cached(*test_, engine_options_.use_ci_cache ? cache : nullptr,
+  // Without an attached shared cache the engine evaluates every test: a
+  // pair asks each (x, y | S) once per refresh, and keys embed the row
+  // count, so a private cache could only serve possible-d-sep's re-asks.
+  CachedCITest cached(*test_, engine_options_.use_ci_cache ? shared_cache_ : nullptr,
                       data_.NumRows(), data_fingerprint_, shard_id_);
   obs::trace::Begin("engine.fci", "engine");
   FciResult fci = RunFci(cached, constraints_, n, model_options_.fci, warm_start, pool_.get());
@@ -290,8 +284,8 @@ const LearnedModel& CausalModelEngine::Refresh(uint64_t seed) {
   has_model_ = true;
 
   stats_.warm = warm;
-  stats_.tests_requested = cached.calls;
-  stats_.tests_evaluated = test_->calls - evaluated_before;
+  stats_.tests_requested = cached.calls.Value();
+  stats_.tests_evaluated = test_->calls.Value() - evaluated_before;
   stats_.cache_hits = cached.hits();
   stats_.cross_shard_hits = cached.cross_shard_hits();
   stats_.pairs_reused = reused;

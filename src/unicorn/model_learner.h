@@ -7,11 +7,12 @@
 // The CausalModelEngine is the stateful heart of the iterative loop (paper
 // §4, Stage IV): it owns the growing measurement table and re-learns the
 // model *incrementally* — appended rows update streaming statistics instead
-// of rebuilding them, p-values are memoized in a CI cache shared by the
-// skeleton, Possible-D-SEP, and warm-start phases, warm-started refreshes
-// re-test only the edges whose endpoint statistics changed materially, and
-// the per-level skeleton sweep runs on a thread pool with results
-// bit-identical to the serial search.
+// of rebuilding them, warm-started refreshes re-test only the edges whose
+// endpoint statistics changed materially, and the per-level skeleton sweep
+// runs on a thread pool with results bit-identical to the serial search.
+// An engine attached to a shared CI cache (ShareCICache) memoizes p-values
+// there, across its skeleton and Possible-D-SEP phases and across shards;
+// an engine without one evaluates every test it asks.
 #ifndef UNICORN_UNICORN_MODEL_LEARNER_H_
 #define UNICORN_UNICORN_MODEL_LEARNER_H_
 
@@ -67,8 +68,9 @@ struct EngineOptions {
   // Worker threads for the per-level skeleton sweep (1 = serial). Results
   // are bit-identical for any value.
   int num_threads = 1;
-  // Memoize p-values in the engine's CI cache (sound: keys include the row
-  // count). Off only for apples-to-apples "from-scratch" baselines.
+  // Consult the shared CI cache attached by ShareCICache (sound: keys
+  // include the row count and the table fingerprint). Without an attached
+  // cache there is nothing to consult and the option has no effect.
   bool use_ci_cache = true;
 };
 
@@ -80,7 +82,7 @@ struct LearnedModel {
 
 // Discovery-cost accounting of an engine. "Requested" counts every CI test
 // the search asked for; "evaluated" counts the p-values actually computed
-// (requested minus cache hits). All numbers derive from CITest::calls and
+// (requested minus shared-cache hits; equal to requested without one). All numbers derive from CITest::calls and
 // the CachedCITest counters — there is no second, hand-maintained count
 // anywhere. Hits are counted on the engine's own decorator, so they stay
 // exact even when the engine shares a process-wide CICache with other
@@ -146,11 +148,12 @@ class CausalModelEngine {
   void Reserve(size_t rows);
 
   // Shared-cache mode (the sharded reasoning plane, see unicorn/engine_pool):
-  // from the next refresh on, CI results are memoized in `shared` instead of
-  // the engine-private cache, attributed to `shard_id`. Entries are keyed on
-  // data_fingerprint(), so two engines whose tables are bit-identical share
-  // hits and diverged tables can never serve each other stale values. The
-  // cache must outlive the engine; pass nullptr to return to private mode.
+  // from the next refresh on, CI results are memoized in `shared`,
+  // attributed to `shard_id`. Entries are keyed on data_fingerprint(), so
+  // two engines whose tables are bit-identical share hits and diverged
+  // tables can never serve each other stale values. The cache must outlive
+  // the engine; pass nullptr to detach it, after which refreshes evaluate
+  // every test they ask.
   void ShareCICache(CICache* shared, uint32_t shard_id);
 
   // Order-sensitive fingerprint chained over every absorbed row: two engines
@@ -210,7 +213,6 @@ class CausalModelEngine {
 
   std::unique_ptr<CompositeTest> test_;  // updated in place as data grows
   size_t test_rows_ = 0;                 // rows test_ was last updated for
-  CICache cache_;                        // private: persists across refreshes
   CICache* shared_cache_ = nullptr;      // shard mode: process-wide cache
   uint32_t shard_id_ = 0;                // this engine's tag in the shared cache
   uint64_t data_fingerprint_ = 0x5eed0fca11c0de01ULL;  // chained row hash

@@ -12,29 +12,40 @@ namespace unicorn {
 
 namespace {
 
+// Each participant claims about this many index ranges over a sweep: enough
+// that uneven items even out across threads, few enough that the shared
+// counter is touched a few hundred times, not once per item.
+constexpr size_t kClaimsPerParticipant = 64;
+
 // One ParallelFor call's shared state. Owned jointly by the caller and every
 // helper task, so a helper that runs after the caller returned still has a
 // live counter to find exhausted.
 struct ParallelForBatch {
   const std::function<void(size_t)>* body = nullptr;
   size_t count = 0;
+  size_t grain = 1;  // indices per claim
   std::atomic<size_t> next{0};
   std::mutex mu;
   std::condition_variable done_cv;
   size_t finished = 0;  // items completed, under mu
 
-  // Pulls and runs items until the counter is exhausted. `body` is called
-  // only for a claimed item, and every claimed item is finished before the
-  // caller may return, so it never dangles. Both fields are read once into
-  // locals: they share a cache line with the contended counter.
+  // Claims contiguous ranges of `grain` indices and runs them until the
+  // counter is exhausted. `body` is called only for a claimed item, and
+  // every claimed item is finished before the caller may return, so it
+  // never dangles. The fields are read once into locals: they share a cache
+  // line with the contended counter.
   void Run() {
     const size_t n = count;
+    const size_t g = grain;
     const std::function<void(size_t)>* const f = body;
     size_t ran = 0;
-    for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      (*f)(i);
-      ++ran;
+    for (size_t begin = next.fetch_add(g, std::memory_order_relaxed); begin < n;
+         begin = next.fetch_add(g, std::memory_order_relaxed)) {
+      const size_t end = std::min(n, begin + g);
+      for (size_t i = begin; i < end; ++i) {
+        (*f)(i);
+      }
+      ran += end - begin;
     }
     if (ran > 0) {
       std::lock_guard<std::mutex> lock(mu);
@@ -133,6 +144,7 @@ void ThreadPool::ParallelFor(size_t count, const std::function<void(size_t)>& bo
   batch->body = &body;
   batch->count = count;
   const size_t helpers = std::min(workers_.size(), count - 1);
+  batch->grain = std::max<size_t>(1, count / ((helpers + 1) * kClaimsPerParticipant));
   for (size_t h = 0; h < helpers; ++h) {
     Submit([batch] { batch->Run(); }, std::numeric_limits<int64_t>::max());
   }

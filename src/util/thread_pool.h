@@ -7,10 +7,10 @@
 //
 // ParallelFor is the fork-join side, built for the per-level edge sweep of
 // the PC-stable skeleton search: the caller hands over `count` independent
-// work items, the caller and the workers pull indices from a shared atomic
-// counter, and ParallelFor returns once every item ran. Because the caller
-// participates, ThreadPool(0) degenerates to an inline loop and a pool is
-// always safe to use regardless of hardware.
+// work items, the caller and the workers claim contiguous index ranges from
+// a shared atomic counter, and ParallelFor returns once every item ran.
+// Because the caller participates, ThreadPool(0) degenerates to an inline
+// loop and a pool is always safe to use regardless of hardware.
 #ifndef UNICORN_UTIL_THREAD_POOL_H_
 #define UNICORN_UTIL_THREAD_POOL_H_
 
@@ -55,15 +55,19 @@ class ThreadPool {
   /// be called from one of this pool's tasks (it would wait for itself).
   void Drain();
 
-  /// Runs body(i) for every i in [0, count) on the calling thread plus every
-  /// worker, and blocks until all items finished. Items run in unspecified
-  /// order and concurrently; they must be independent, and body must not
-  /// throw. Workers join through helper tasks (one per worker, at most
-  /// count - 1) queued ahead of every other task; the caller waits only for
-  /// items a helper actually claimed and runs every other item itself. So
-  /// ParallelFor may be called from inside one of this pool's tasks (a busy
-  /// pool just runs the items inline), and a helper that starts after the
-  /// batch ended finds no item left and never touches `body`.
+  /// Runs body(i) exactly once for every i in [0, count) on the calling
+  /// thread plus every worker, and blocks until all items finished. Items
+  /// run in unspecified order and concurrently; they must be independent,
+  /// and body must not throw. Each thread claims contiguous index ranges,
+  /// sized from `count` and the number of participating threads (about 64
+  /// claims per thread), so neighbouring items, and whatever per-item
+  /// output they write, mostly stay on one thread. Workers join through
+  /// helper tasks (one per worker, at most count - 1) queued ahead of every
+  /// other task; the caller waits only for items a helper actually claimed
+  /// and runs every other item itself. So ParallelFor may be called from
+  /// inside one of this pool's tasks (a busy pool just runs the items
+  /// inline), and a helper that starts after the batch ended finds no item
+  /// left and never touches `body`.
   void ParallelFor(size_t count, const std::function<void(size_t)>& body);
 
   int num_workers() const { return static_cast<int>(workers_.size()); }

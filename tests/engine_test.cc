@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "stats/ci_cache.h"
 #include "sysmodel/systems.h"
 #include "util/rng.h"
 
@@ -174,19 +175,35 @@ TEST(EngineTest, ParallelRefreshBitIdenticalToSerial) {
 
 TEST(EngineTest, RepeatedRefreshOnUnchangedDataIsAllCacheHits) {
   const DataTable data = MeasuredData(SystemId::kBert, 150, 13);
-  CausalModelEngine engine(data.Variables(), SmallModelOptions());
-  engine.AppendRows(data);
-  engine.Refresh(99);
-  const long long first_evaluated = engine.stats().tests_evaluated;
-  EXPECT_GT(first_evaluated, 0);
-  EXPECT_EQ(engine.stats().tests_requested,
-            engine.stats().tests_evaluated + engine.stats().cache_hits);
+  // An engine attached to a shared cache serves a repeat refresh wholly from
+  // it; an engine without one evaluates every test again, and relearns the
+  // same graph.
+  for (const bool shared : {true, false}) {
+    SCOPED_TRACE(shared ? "shared cache" : "no cache");
+    CICache cache;
+    CausalModelEngine engine(data.Variables(), SmallModelOptions());
+    if (shared) {
+      engine.ShareCICache(&cache, 0);
+    }
+    engine.AppendRows(data);
+    engine.Refresh(99);
+    const long long first_evaluated = engine.stats().tests_evaluated;
+    EXPECT_GT(first_evaluated, 0);
+    EXPECT_EQ(engine.stats().tests_requested,
+              engine.stats().tests_evaluated + engine.stats().cache_hits);
 
-  const MixedGraph before = engine.model().admg;
-  engine.Refresh(99);  // no new rows: every p-value must come from the cache
-  EXPECT_EQ(engine.stats().tests_evaluated, 0);
-  EXPECT_EQ(engine.stats().cache_hits, engine.stats().tests_requested);
-  EXPECT_TRUE(GraphsIdentical(before, engine.model().admg));
+    const MixedGraph before = engine.model().admg;
+    engine.Refresh(99);  // no new rows
+    EXPECT_TRUE(GraphsIdentical(before, engine.model().admg));
+    if (shared) {
+      EXPECT_EQ(engine.stats().tests_evaluated, 0);
+      EXPECT_EQ(engine.stats().cache_hits, engine.stats().tests_requested);
+    } else {
+      EXPECT_EQ(engine.stats().cache_hits, 0);
+      EXPECT_EQ(engine.stats().tests_evaluated, engine.stats().tests_requested);
+      EXPECT_EQ(engine.stats().tests_evaluated, first_evaluated);
+    }
+  }
 }
 
 TEST(EngineTest, WarmRefreshShrinksTestsAndAnchorsRestoreExactness) {

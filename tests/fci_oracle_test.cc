@@ -20,7 +20,7 @@ class DSepOracle : public CITest {
   explicit DSepOracle(const MixedGraph& dag) : dag_(dag) {}
 
   double PValue(int x, int y, const std::vector<int>& s) const override {
-    ++calls;
+    calls.Increment();
     std::vector<size_t> z(s.begin(), s.end());
     return DSeparated(dag_, static_cast<size_t>(x), static_cast<size_t>(y), z) ? 1.0 : 0.0;
   }

@@ -316,8 +316,8 @@ TEST(FciTest, CachedRunMatchesUncachedRun) {
   // Requested counts are identical; the cache only removes duplicate
   // evaluations, visible as inner calls < requested calls.
   EXPECT_EQ(uncached.tests_performed, with_cache.tests_performed);
-  EXPECT_LT(inner.calls, cached.calls);
-  EXPECT_EQ(cache.hits() + inner.calls, cached.calls);
+  EXPECT_LT(inner.calls.Value(), cached.calls.Value());
+  EXPECT_EQ(cache.hits() + inner.calls.Value(), cached.calls.Value());
 }
 
 TEST(FciTest, ParallelSkeletonBitIdenticalToSerial) {
@@ -372,9 +372,9 @@ TEST(FciTest, AllCleanWarmStartAdoptsWithoutTesting) {
   warm.graph = &cold.pag;
   warm.sepsets = &cold.sepsets;
   warm.pair_dirty = &all_clean;
-  const long long calls_before = test.calls;
+  const long long calls_before = test.calls.Value();
   const FciResult adopted = RunFci(test, constraints, n, options, warm);
-  EXPECT_EQ(test.calls, calls_before);  // not a single CI test issued
+  EXPECT_EQ(test.calls.Value(), calls_before);  // not a single CI test issued
   EXPECT_EQ(adopted.tests_performed, 0);
   // Adjacency and separating sets are adopted wholesale; orientation
   // re-derives from the sepsets.
@@ -464,8 +464,6 @@ TEST(CICacheTest, KeyNormalizationAndCounters) {
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.lookups(), 3);
   EXPECT_EQ(cache.size(), 1u);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(CICacheTest, CachedTestEvaluatesEachKeyOnce) {
@@ -475,11 +473,11 @@ TEST(CICacheTest, CachedTestEvaluatesEachKeyOnce) {
   const CachedCITest cached(inner, &cache, world.data.NumRows());
 
   const double p1 = cached.PValue(0, 1, {2});
-  const long long evaluated_after_first = inner.calls;
+  const long long evaluated_after_first = inner.calls.Value();
   const double p2 = cached.PValue(1, 0, {2});  // symmetric alias
   EXPECT_DOUBLE_EQ(p1, p2);
-  EXPECT_EQ(inner.calls, evaluated_after_first);  // served from cache
-  EXPECT_EQ(cached.calls, 2);
+  EXPECT_EQ(inner.calls.Value(), evaluated_after_first);  // served from cache
+  EXPECT_EQ(cached.calls.Value(), 2);
   EXPECT_EQ(cache.hits(), 1);
 }
 

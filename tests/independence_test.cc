@@ -220,7 +220,7 @@ TEST(CompositeTest, TracksCallCount) {
   CompositeTest test(t);
   test.PValue(0, 1, {});
   test.PValue(0, 1, {});
-  EXPECT_GE(test.calls, 2);
+  EXPECT_GE(test.calls.Value(), 2);
 }
 
 // TSan target: eight threads race on the lock-free memo reads — Fisher-z

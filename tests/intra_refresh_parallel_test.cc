@@ -8,6 +8,8 @@
 
 #include <atomic>
 #include <cstring>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -114,7 +116,7 @@ TEST(IntraRefreshParallelTest, PdsPhaseBitIdenticalWithCache) {
   CICache serial_cache;
   const CachedCITest serial_cached(serial_inner, &serial_cache, world.data.NumRows());
   const FciResult serial = RunFci(serial_cached, constraints, n, options);
-  ASSERT_GT(serial_cached.calls.load(), 0);
+  ASSERT_GT(serial_cached.calls.Value(), 0);
   ASSERT_GT(serial_cache.hits(), 0);  // the PDS phase must re-hit skeleton keys
 
   for (int threads : {2, 8}) {
@@ -128,8 +130,8 @@ TEST(IntraRefreshParallelTest, PdsPhaseBitIdenticalWithCache) {
     EXPECT_EQ(serial.tests_performed, parallel.tests_performed) << "threads=" << threads;
     // The whole accounting chain must match the serial run exactly:
     // requested (decorator), evaluated (inner), hits (decorator + cache).
-    EXPECT_EQ(serial_cached.calls.load(), cached.calls.load()) << "threads=" << threads;
-    EXPECT_EQ(serial_inner.calls.load(), inner.calls.load()) << "threads=" << threads;
+    EXPECT_EQ(serial_cached.calls.Value(), cached.calls.Value()) << "threads=" << threads;
+    EXPECT_EQ(serial_inner.calls.Value(), inner.calls.Value()) << "threads=" << threads;
     EXPECT_EQ(serial_cached.hits(), cached.hits()) << "threads=" << threads;
     EXPECT_EQ(serial_cache.hits(), cache.hits()) << "threads=" << threads;
     EXPECT_EQ(serial_cache.lookups(), cache.lookups()) << "threads=" << threads;
@@ -344,43 +346,61 @@ TEST(IntraRefreshParallelTest, OneTierCacheGrowthClearEvictionAndReload) {
     EXPECT_TRUE(SameBits(hit->p_value, p_of(i))) << "key " << i;
   }
 
-  // Clear drops every entry while the slots still hold their old keys; a
-  // refill must neither resurrect a dropped entry nor be blocked by one.
+  // A bounded cache drops a whole stripe once it outgrows its share of the
+  // budget, and the dropped slots still hold their old keys. Over rounds of
+  // re-stores, a dropped entry must stay absent until it is stored again
+  // (never resurrected, never blocking the refill), a live one keeps its
+  // first value, and the entry just stored is always served. The model of
+  // what the cache holds learns of a drop from size() and then forgets
+  // every entry that no longer answers.
+  constexpr size_t kBudget = 1024;  // 64 per stripe
+  CICache bounded(kBudget);
+  std::map<int, double> held;  // key index -> the value the cache must serve
+  long long kept_live = 0;
+  long long restored_dropped = 0;
+  bool within_budget = true;
   for (int round = 0; round < 3; ++round) {
-    cache.Clear();
-    EXPECT_EQ(cache.size(), 0u);
-    for (int i = 0; i < kKeys; i += 7) {
-      EXPECT_FALSE(cache.LookupFrom(key_of(i), 3).has_value()) << "key " << i;
+    // Alternating directions: a round first meets the keys the previous one
+    // stored last, which are still live, then the ones it dropped.
+    constexpr int kRefill = kKeys / 2;
+    for (int step = 0; step < kRefill; ++step) {
+      const int i = round % 2 == 0 ? step : kRefill - 1 - step;
+      const double value = 2.0 * p_of(i) + round;
+      const bool was_held = held.count(i) > 0;
+      const size_t before = bounded.size();
+      bounded.Store(key_of(i), value, /*shard=*/4);
+      within_budget &= bounded.size() <= kBudget;
+      if (bounded.size() != before + (was_held ? 0 : 1)) {
+        // This store dropped key i's stripe, then stored key i afresh.
+        held[i] = value;
+        for (auto it = held.begin(); it != held.end();) {
+          it = bounded.LookupFrom(key_of(it->first), 3).has_value() ? std::next(it)
+                                                                    : held.erase(it);
+        }
+      } else if (!was_held) {
+        held[i] = value;
+      }
+      if (round > 0) {
+        (was_held ? kept_live : restored_dropped) += 1;
+      }
+      const auto newest = bounded.LookupFrom(key_of(i), 3);
+      ASSERT_TRUE(newest.has_value()) << "round " << round << " key " << i;
+      EXPECT_TRUE(SameBits(newest->p_value, held[i])) << "round " << round << " key " << i;
     }
-    const int refill = kKeys / (round + 2);
-    for (int i = 0; i < refill; ++i) {
-      cache.Store(key_of(i), 2.0 * p_of(i) + round, /*shard=*/4);
-    }
-    EXPECT_EQ(cache.size(), static_cast<size_t>(refill));
+    EXPECT_EQ(bounded.size(), held.size()) << "round " << round;
     for (int i = 0; i < kKeys; ++i) {
-      const auto hit = cache.LookupFrom(key_of(i), 3);
-      ASSERT_EQ(hit.has_value(), i < refill) << "round " << round << " key " << i;
+      const auto hit = bounded.LookupFrom(key_of(i), 3);
+      ASSERT_EQ(hit.has_value(), held.count(i) > 0) << "round " << round << " key " << i;
       if (hit) {
-        EXPECT_TRUE(SameBits(hit->p_value, 2.0 * p_of(i) + round)) << "key " << i;
-        EXPECT_TRUE(hit->cross_shard);  // refilled by shard 4
+        EXPECT_TRUE(SameBits(hit->p_value, held[i])) << "round " << round << " key " << i;
+        EXPECT_TRUE(hit->cross_shard);  // stored by shard 4
       }
     }
   }
-
-  // A bounded cache never exceeds its budget, and the entry just stored is
-  // always served.
-  constexpr size_t kBudget = 160;  // 10 per stripe
-  CICache bounded(kBudget);
-  bool within_budget = true;
-  bool newest_found = true;
-  for (int i = 0; i < kKeys; ++i) {
-    bounded.Store(key_of(i), p_of(i));
-    within_budget &= bounded.size() <= kBudget;
-    newest_found &= bounded.LookupFrom(key_of(i), 0).has_value();
-  }
   EXPECT_TRUE(within_budget);
-  EXPECT_TRUE(newest_found);
-  EXPECT_GT(bounded.size(), 0u);
+  // Both kinds of re-store happened: onto live entries and onto dropped ones.
+  EXPECT_GT(kept_live, 0);
+  EXPECT_GT(restored_dropped, 0);
 }
 
 }  // namespace

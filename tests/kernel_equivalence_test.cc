@@ -314,7 +314,7 @@ void CheckFirstIndependentEquivalence(const DataTable& t, int x, int y,
   if (want_idx >= 0) {
     EXPECT_EQ(got_p, want_p);
   }
-  EXPECT_EQ(batched.calls.load(), serial.calls.load());
+  EXPECT_EQ(batched.calls.Value(), serial.calls.Value());
 }
 
 TEST(KernelEquivalence, FirstIndependentMatchesSerialLoop) {
@@ -339,7 +339,7 @@ TEST(KernelEquivalence, FirstIndependentMatchesSerialLoop) {
   req.y = 1;
   req.sets = &empty;
   EXPECT_EQ(test.FirstIndependent(req), -1);
-  EXPECT_EQ(test.calls.load(), 0);
+  EXPECT_EQ(test.calls.Value(), 0);
 }
 
 TEST(KernelEquivalence, FirstIndependentOnEmptyTable) {

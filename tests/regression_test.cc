@@ -1,10 +1,13 @@
 #include "stats/regression.h"
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "stats/correlation.h"
+#include "stats/linalg.h"
 #include "util/rng.h"
 
 namespace unicorn {
@@ -25,6 +28,46 @@ DataTable MakeTable(size_t num_features, size_t rows, Rng* rng) {
     t.AddRow(row);
   }
   return t;
+}
+
+::testing::AssertionResult SameBits(const std::vector<double>& got,
+                                    const std::vector<double>& want) {
+  if (got.size() == want.size() &&
+      std::memcmp(got.data(), want.data(), got.size() * sizeof(double)) == 0) {
+    return ::testing::AssertionSuccess();
+  }
+  auto failure = ::testing::AssertionFailure();
+  for (size_t i = 0; i < got.size(); ++i) {
+    failure << got[i] << " ";
+  }
+  return failure;
+}
+
+// The expected solutions are the bits the vector-of-vectors solver this one
+// replaced produced for the same systems.
+TEST(SolveLinearSystemTest, OneByOne) {
+  std::vector<double> m = {3.0};
+  std::vector<double> rhs = {1.0};
+  ASSERT_TRUE(SolveLinearSystem(1, m.data(), rhs.data()));
+  EXPECT_TRUE(SameBits(rhs, {0x1.5555555555555p-2}));
+}
+
+TEST(SolveLinearSystemTest, ThreeByThreeWithRowSwap) {
+  // The first column's pivot is the last row.
+  std::vector<double> m = {1e-3, 2.0, 3.0,  //
+                           4.0,  5.0, 6.5,  //
+                           7.0,  8.25, 10.0};
+  std::vector<double> rhs = {1.0, 2.0, 3.5};
+  ASSERT_TRUE(SolveLinearSystem(3, m.data(), rhs.data()));
+  EXPECT_TRUE(SameBits(rhs, {-0x1.cd2262f3a53b2p-3, 0x1.19a9d4f93e3b7p+0,
+                             -0x1.99b135c7a055ep-2}));
+}
+
+TEST(SolveLinearSystemTest, SingularMatrixIsRejected) {
+  std::vector<double> m = {1.0, 2.0,  //
+                           2.0, 4.0};
+  std::vector<double> rhs = {1.0, 2.0};
+  EXPECT_FALSE(SolveLinearSystem(2, m.data(), rhs.data()));
 }
 
 TEST(OlsTest, RecoversLinearCoefficients) {

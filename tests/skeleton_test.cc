@@ -4,10 +4,15 @@
 
 #include <algorithm>
 #include <map>
+#include <mutex>
 #include <optional>
+#include <set>
+#include <tuple>
 #include <vector>
 
+#include "sysmodel/systems.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace unicorn {
 namespace {
@@ -252,6 +257,164 @@ TEST(SkeletonTest, AllEdgesCircleMarked) {
       if (g.HasEdge(a, b)) {
         EXPECT_TRUE(g.HasCircleAt(a, b));
         EXPECT_TRUE(g.HasCircleAt(b, a));
+      }
+    }
+  }
+}
+
+// One CI query as the cache would key it: unordered pair, sorted set.
+using CIKey = std::tuple<int, int, std::vector<int>>;
+
+CIKey KeyOf(int x, int y, std::vector<int> s) {
+  std::sort(s.begin(), s.end());
+  return {std::min(x, y), std::max(x, y), std::move(s)};
+}
+
+// Counts every (x, y | S) it is asked, then forwards to the wrapped test.
+class RecordingTest : public CITest {
+ public:
+  explicit RecordingTest(const CITest& inner) : inner_(inner) {}
+
+  double PValue(int x, int y, const std::vector<int>& s) const override {
+    calls.Increment();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++asked_[KeyOf(x, y, s)];
+    }
+    return inner_.PValue(x, y, s);
+  }
+
+  const std::map<CIKey, int>& asked() const { return asked_; }
+
+ private:
+  const CITest& inner_;
+  mutable std::mutex mu_;
+  mutable std::map<CIKey, int> asked_;
+};
+
+// The textbook two-sided PC-stable sweep, serial: side 0 (sets from
+// adj(x)\{y}), then, when side 0 found no separating set, all of side 1
+// (sets from adj(y)\{x}), re-asking whatever side 0 already asked.
+struct TwoSidedReference {
+  MixedGraph graph;
+  SepsetMap sepsets;
+  long long requests = 0;
+  long long repeats = 0;       // requests of a query asked before
+  long long deep_repeats = 0;  // ... with a non-empty conditioning set
+};
+
+TwoSidedReference TwoSidedSweep(const CITest& test, const StructuralConstraints& constraints,
+                                size_t n, const SkeletonOptions& options) {
+  TwoSidedReference ref;
+  ref.graph = MixedGraph(n);
+  ref.sepsets = SepsetMap(n);
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t b = a + 1; b < n; ++b) {
+      if (constraints.EdgeAllowed(a, b)) {
+        ref.graph.AddCircleCircle(a, b);
+      }
+    }
+  }
+  std::set<CIKey> seen;
+  for (int d = 0; d <= options.max_cond_size; ++d) {
+    std::vector<std::vector<size_t>> adj(n);
+    for (size_t v = 0; v < n; ++v) {
+      adj[v] = ref.graph.Adjacent(v);
+    }
+    std::vector<std::pair<size_t, size_t>> pairs;
+    for (size_t x = 0; x < n; ++x) {
+      for (size_t y = x + 1; y < n; ++y) {
+        if (ref.graph.HasEdge(x, y) && !constraints.EdgeRequired(x, y)) {
+          pairs.push_back({x, y});
+        }
+      }
+    }
+    bool any_tested = false;
+    std::vector<std::pair<size_t, size_t>> removed;
+    std::vector<std::vector<size_t>> removed_sets;
+    for (const auto& [x, y] : pairs) {
+      for (int side = 0; side < 2; ++side) {
+        const size_t from = side == 0 ? x : y;
+        const size_t other = side == 0 ? y : x;
+        std::vector<size_t> pool;
+        for (size_t v : adj[from]) {
+          if (v != other && constraints.roles()[v] != VarRole::kObjective) {
+            pool.push_back(v);
+          }
+        }
+        if (pool.size() < static_cast<size_t>(d)) {
+          continue;
+        }
+        any_tested = true;
+        bool separated = false;
+        for (const auto& subset : Subsets(pool, static_cast<size_t>(d), options.max_subsets)) {
+          const std::vector<int> set(subset.begin(), subset.end());
+          ++ref.requests;
+          if (!seen.insert(KeyOf(static_cast<int>(x), static_cast<int>(y), set)).second) {
+            ++ref.repeats;
+            ref.deep_repeats += d > 0 ? 1 : 0;
+          }
+          if (test.PValue(static_cast<int>(x), static_cast<int>(y), set) >= options.alpha) {
+            removed.push_back({x, y});
+            removed_sets.push_back(subset);
+            separated = true;
+            break;
+          }
+        }
+        if (separated) {
+          break;
+        }
+      }
+    }
+    for (size_t i = 0; i < removed.size(); ++i) {
+      ref.graph.RemoveEdge(removed[i].first, removed[i].second);
+      ref.sepsets.Set(removed[i].first, removed[i].second, removed_sets[i]);
+    }
+    if (!any_tested && d > 0) {
+      break;
+    }
+  }
+  return ref;
+}
+
+TEST(SkeletonTest, ParallelSweepAsksEachTestOnceAndMatchesTwoSidedSweep) {
+  SystemSpec spec;
+  spec.num_events = 8;
+  const SystemModel model = BuildSystem(SystemId::kDeepspeech, spec);
+  Rng rng(21);
+  std::vector<std::vector<double>> configs;
+  for (size_t i = 0; i < 200; ++i) {
+    configs.push_back(model.SampleConfig(&rng));
+  }
+  const DataTable data = model.MeasureMany(configs, Xavier(), DefaultWorkload(), &rng);
+  const StructuralConstraints constraints(data.Variables());
+  const CompositeTest inner(data);
+  const size_t n = data.NumVars();
+  SkeletonOptions options;
+  options.max_cond_size = 2;
+  options.max_subsets = 16;
+
+  const TwoSidedReference ref = TwoSidedSweep(inner, constraints, n, options);
+  ASSERT_GT(ref.deep_repeats, 0);  // side 1 re-asks beyond level 0 too
+
+  ThreadPool pool(3);  // plus the caller: a 4-thread sweep
+  const RecordingTest recording(inner);
+  const SkeletonResult result = LearnSkeleton(recording, constraints, n, options, {}, &pool);
+
+  for (const auto& [key, times] : recording.asked()) {
+    EXPECT_EQ(times, 1) << "pair (" << std::get<0>(key) << ", " << std::get<1>(key)
+                        << ") |S| = " << std::get<2>(key).size();
+  }
+  EXPECT_EQ(result.tests_performed, ref.requests - ref.repeats);
+  EXPECT_EQ(result.tests_performed, static_cast<long long>(recording.asked().size()));
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t b = a + 1; b < n; ++b) {
+      EXPECT_EQ(result.graph.HasEdge(a, b), ref.graph.HasEdge(a, b)) << a << "-" << b;
+      const auto got = result.sepsets.Get(a, b);
+      const auto want = ref.sepsets.Get(a, b);
+      ASSERT_EQ(got.has_value(), want.has_value()) << a << "-" << b;
+      if (got) {
+        EXPECT_EQ(Members(got), Members(want)) << a << "-" << b;
       }
     }
   }

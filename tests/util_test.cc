@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "util/csv.h"
+#include "util/sharded_counter.h"
 #include "util/text_table.h"
 #include "util/thread_pool.h"
 
@@ -127,7 +129,8 @@ TEST(ThreadPoolTest, HigherPriorityOvertakesQueueFifoOnTies) {
 TEST(ThreadPoolTest, ParallelForRunsEachIndexOnce) {
   for (const int workers : {0, 3}) {
     ThreadPool pool(workers);
-    for (const size_t count : {size_t{0}, size_t{1}, size_t{3}, size_t{1000}}) {
+    // 100,000 items: every thread claims many multi-index ranges.
+    for (const size_t count : {size_t{0}, size_t{1}, size_t{3}, size_t{1000}, size_t{100000}}) {
       std::vector<std::atomic<int>> first(count);
       std::vector<std::atomic<int>> second(count);
       std::atomic<size_t> sum{0};
@@ -205,6 +208,41 @@ TEST(ThreadPoolTest, ParallelForInsideOwnTaskRunsInline) {
   pool.Submit([&] { pool.ParallelFor(hits.size(), [&](size_t i) { ++hits[i]; }); });
   pool.Drain();
   EXPECT_EQ(hits, std::vector<int>(64, 1));
+}
+
+// Concurrent increments from more threads than cells all land: the sum is
+// exact once the writers are joined.
+TEST(ShardedCounterTest, SumsEveryThreadsIncrements) {
+  constexpr int kThreads = 12;
+  constexpr long long kIncrements = 20000;
+  ShardedCounter counter;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&counter, t] {
+      for (long long i = 0; i < kIncrements; ++i) {
+        counter.Increment();
+      }
+      counter.Add(t);
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(counter.Value(), kThreads * kIncrements + kThreads * (kThreads - 1) / 2);
+  counter.Reset();
+  EXPECT_EQ(counter.Value(), 0);
+}
+
+// Threads take cells round-robin in first-use order, so any kCounterShards
+// threads that start counting one after another own distinct cells.
+TEST(ShardedCounterTest, ConsecutiveThreadsTakeDistinctCells) {
+  std::vector<size_t> cells;
+  for (size_t t = 0; t < kCounterShards; ++t) {
+    std::thread([&cells] { cells.push_back(CounterShard()); }).join();
+  }
+  std::sort(cells.begin(), cells.end());
+  EXPECT_EQ(std::unique(cells.begin(), cells.end()), cells.end());
+  EXPECT_LT(cells.back(), kCounterShards);
 }
 
 TEST(TextTableTest, RendersHeaderAndRows) {
