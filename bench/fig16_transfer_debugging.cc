@@ -5,19 +5,16 @@
 //   1. record on the source: measure observational samples through a fleet
 //      whose only member is a live simulated Xavier device, persist the
 //      broker cache as a MeasurementTable CSV (provenance column "Xavier");
-//   2. replay into the target fleet: RecordedBackend (the already-measured
-//      source hardware) + live simulated TX2 devices, with environment-
-//      aware routing pinning replayed rows to the recording and fresh
-//      measurements to TX2;
-//   3. debug through TransferPolicy: the shared engine warm-starts from
-//      source-provenance rows and refreshes incrementally as target rows
-//      stream in.
+//   2. seed the target shard: the recording's rows go straight into the
+//      campaign engine as source-provenance rows (SeedFromTable);
+//   3. debug on a target fleet of live simulated TX2 devices only: the
+//      engine warm-starts from the seeded rows and refreshes incrementally
+//      as target rows stream in.
 //
 // Scenarios: Unicorn (Reuse) / Unicorn + 25 / Unicorn (Rerun) vs BugDoc
-// rerun from scratch. The "Reuse" scenario issues ZERO fresh source-
-// hardware measurements — every source row is served by the recording, and
-// the fleet ledger printed at the end proves it. `--smoke` shrinks
-// everything to CI scale.
+// rerun from scratch. No scenario issues a fresh source-hardware
+// measurement: every target fleet holds only TX2 devices, and the self-check
+// at the end verifies it. `--smoke` shrinks everything to CI scale.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -26,7 +23,7 @@
 
 #include "baselines/bugdoc.h"
 #include "bench/common.h"
-#include "unicorn/backend/recorded_backend.h"
+#include "unicorn/backend/measurement_table.h"
 #include "unicorn/campaign.h"
 #include "util/text_table.h"
 
@@ -54,15 +51,12 @@ void BM_WarmStartDebug(benchmark::State& state) {
 }
 BENCHMARK(BM_WarmStartDebug)->Iterations(1);
 
-// Builds the per-fault heterogeneous fleet: the source recording + two live
-// TX2 devices. `task_seed` must match the target task so fleet rows equal
-// what the target task itself measures.
-std::unique_ptr<BackendFleet> MakeTransferFleet(
-    const std::shared_ptr<SystemModel>& model, const MeasurementTable& source_table,
-    uint64_t task_seed) {
+// Builds the per-fault target fleet: two live TX2 devices. `task_seed` must
+// match the target task so fleet rows equal what the target task itself
+// measures.
+std::unique_ptr<BackendFleet> MakeTransferFleet(const std::shared_ptr<SystemModel>& model,
+                                                uint64_t task_seed) {
   std::vector<std::unique_ptr<MeasurementBackend>> backends;
-  backends.push_back(
-      std::make_unique<RecordedBackend>(source_table, "xavier-recorded", 1));
   for (int b = 0; b < 2; ++b) {
     DeviceProfile profile;
     profile.name = "tx2-" + std::to_string(b);
@@ -73,10 +67,11 @@ std::unique_ptr<BackendFleet> MakeTransferFleet(
   return std::make_unique<BackendFleet>(std::move(backends));
 }
 
-// Returns false when the replay-accounting invariant (every source row
-// served by the recording, none measured fresh) broke — main turns that
-// into a non-zero exit so the CI smoke job fails instead of logging a
-// warning nobody reads.
+// Returns false when the transfer invariant (the engine holds the whole
+// recording as source rows in transfer scenarios and none in Rerun, no
+// request failed, and no fleet member could measure source hardware) broke
+// — main turns that into a non-zero exit so the CI smoke job fails instead
+// of logging a warning nobody reads.
 bool RunFigure(bool smoke) {
   using Clock = std::chrono::steady_clock;
   SystemSpec spec;
@@ -137,13 +132,13 @@ bool RunFigure(bool smoke) {
     bool transfer;
   };
   const Scenario scenarios[] = {
-      {"Unicorn (Reuse)", 0, true},   // replayed source rows, no fresh samples
-      {"Unicorn + 25", 25, true},     // replayed source rows + 25 target samples
+      {"Unicorn (Reuse)", 0, true},   // seeded source rows, no fresh samples
+      {"Unicorn + 25", 25, true},     // seeded source rows + 25 target samples
       {"Unicorn (Rerun)", 25, false}  // from scratch on the target fleet
   };
 
   TextTable table({"scenario", "accuracy", "precision", "recall", "gain%", "time(s)",
-                   "src rows", "tgt rows", "replay-served"});
+                   "src rows", "tgt rows"});
   bool all_scenarios_ok = true;
   for (const auto& scenario : scenarios) {
     double accuracy = 0.0;
@@ -153,8 +148,7 @@ bool RunFigure(bool smoke) {
     double seconds = 0.0;
     double src_rows = 0.0;
     double tgt_rows = 0.0;
-    double replay_served = 0.0;
-    bool replay_accounting_ok = true;
+    bool transfer_ok = true;
     for (size_t f = 0; f < faults.size(); ++f) {
       const auto& fault = faults[f];
       const uint64_t task_seed = 164 + f;
@@ -163,26 +157,20 @@ bool RunFigure(bool smoke) {
       DebugOptions options = bench::BenchDebugOptions();
       options.initial_samples = scenario.initial_samples;
       options.seed = 165 + f;
-      // Pin this policy's fresh measurements to live TX2 devices: they can
-      // never be answered from the source recording.
+      // Pin this policy's fresh measurements to live TX2 devices.
       options.environment = Tx2().name;
       if (smoke) {
         options.max_iterations = 10;
       }
 
       CampaignRunner runner(task, ToCampaignOptions(options),
-                            MakeTransferFleet(model, source_table, task_seed));
+                            MakeTransferFleet(model, task_seed));
       DebugPolicy inner(options, fault.config, GoalsForFault(curation, fault));
       const auto start = Clock::now();
       if (scenario.transfer) {
-        TransferOptions transfer_options;
-        transfer_options.source_environment = Xavier().name;
-        transfer_options.target_environment = Tx2().name;
-        TransferPolicy transfer(transfer_options, source_table, &inner);
-        runner.Run({&transfer});
-      } else {
-        runner.Run({&inner});
+        runner.engine().SeedFromTable(source_table);
       }
+      runner.Run({&inner});
       seconds += std::chrono::duration<double>(Clock::now() - start).count();
 
       const DebugResult& result = inner.result();
@@ -195,33 +183,26 @@ bool RunFigure(bool smoke) {
       tgt_rows += static_cast<double>(result.target_rows);
 
       // The acceptance invariant: source-hardware rows only ever come from
-      // the recording. Transfer scenarios must have the RecordedBackend
-      // serve the WHOLE recording (and the live TX2 members everything
-      // else); Rerun must never touch it.
+      // the recording. Transfer scenarios must hold the WHOLE recording as
+      // source rows, Rerun none, and every fleet member must be a TX2
+      // device, so no request could have measured source hardware.
       const FleetStats fleet_stats = runner.broker().fleet_stats();
-      size_t recorded_completed = 0;
+      const size_t expected = scenario.transfer ? source_table.entries.size() : 0;
+      transfer_ok = transfer_ok && result.source_rows == expected && fleet_stats.failed == 0;
       for (const auto& backend : fleet_stats.backends) {
-        if (backend.name == "xavier-recorded") {
-          recorded_completed = backend.completed;
-        }
+        transfer_ok = transfer_ok && backend.environment == Tx2().name;
       }
-      replay_served += static_cast<double>(recorded_completed);
-      const size_t expected =
-          scenario.transfer ? source_table.entries.size() : 0;
-      replay_accounting_ok =
-          replay_accounting_ok && recorded_completed == expected &&
-          result.source_rows == expected && fleet_stats.failed == 0;
     }
     const double n = static_cast<double>(faults.size());
     table.AddRow({scenario.name, FormatDouble(100 * accuracy / n, 0),
                   FormatDouble(100 * precision / n, 0), FormatDouble(100 * recall / n, 0),
                   FormatDouble(gain / n, 0), FormatDouble(seconds / n, 2),
-                  FormatDouble(src_rows / n, 0), FormatDouble(tgt_rows / n, 0),
-                  FormatDouble(replay_served / n, 0)});
-    if (!replay_accounting_ok) {
+                  FormatDouble(src_rows / n, 0), FormatDouble(tgt_rows / n, 0)});
+    if (!transfer_ok) {
       all_scenarios_ok = false;
-      std::printf("FAILED: %s — replay accounting broken (expected every source row\n"
-                  " served by the recording in transfer scenarios, none in Rerun)\n",
+      std::printf("FAILED: %s — transfer accounting broken (expected the whole recording\n"
+                  " as source rows in transfer scenarios and none in Rerun, no failed\n"
+                  " request, and only TX2 devices in the fleet)\n",
                   scenario.name.c_str());
     }
   }
@@ -248,15 +229,14 @@ bool RunFigure(bool smoke) {
     }
     const double n = static_cast<double>(faults.size());
     table.AddRow({"BugDoc (Rerun)", FormatDouble(100 * accuracy / n, 0), "-", "-",
-                  FormatDouble(gain / n, 0), FormatDouble(seconds / n, 2), "0", "-",
-                  "0"});
+                  FormatDouble(gain / n, 0), FormatDouble(seconds / n, 2), "0", "-"});
   }
 
   std::printf("\n=== Fig. 16: Xavier -> TX2 transfer campaign on a heterogeneous fleet ===\n%s",
               table.Render().c_str());
-  std::printf("(src rows = engine rows replayed from the Xavier recording; tgt rows =\n"
-              " fresh TX2 measurements; replay-served = requests the RecordedBackend\n"
-              " answered. Zero fresh source-hardware measurements in every scenario.\n"
+  std::printf("(src rows = engine rows seeded from the Xavier recording; tgt rows =\n"
+              " fresh TX2 measurements. Every target fleet holds only TX2 devices: zero\n"
+              " fresh source-hardware measurements in every scenario.\n"
               " Expected shape: Unicorn+25 approaches Unicorn(Rerun) at a fraction of\n"
               " the fresh samples; Reuse alone degrades gracefully.)\n");
   std::remove(table_path.c_str());

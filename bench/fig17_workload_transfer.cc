@@ -1,10 +1,9 @@
 // Fig. 17: workload transfer for latency optimization on TX2 (Xception),
-// run as a transfer campaign on a heterogeneous fleet. The 5k-image source
-// campaign is recorded through the measurement plane (one live simulated
-// "tx2-5k" device) and persisted; each larger workload then builds a fleet
-// of the source recording (RecordedBackend, zero fresh 5k measurements)
-// plus a live device at the target workload, and TransferPolicy warm-starts
-// the optimizer's engine from the replayed source rows. Columns:
+// run as a transfer campaign. The 5k-image source campaign is recorded
+// through the measurement plane (one live simulated "tx2-5k" device) and
+// persisted; each larger workload then seeds the optimizer's engine with
+// the recorded source rows (SeedFromTable, zero fresh 5k measurements) and
+// measures on a fleet of one live device at the target workload. Columns:
 // Unicorn (Reuse / +10% / +20% budget) vs the same SMAC variants.
 #include <benchmark/benchmark.h>
 
@@ -13,7 +12,7 @@
 
 #include "baselines/smac.h"
 #include "bench/common.h"
-#include "unicorn/backend/recorded_backend.h"
+#include "unicorn/backend/measurement_table.h"
 #include "unicorn/campaign.h"
 #include "unicorn/optimizer.h"
 #include "util/text_table.h"
@@ -49,7 +48,7 @@ void BM_OptimizeSmallBudget(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimizeSmallBudget)->Iterations(1);
 
-// Returns false when the replay-accounting invariant broke (see fig16).
+// Returns false when the transfer invariant broke (see fig16).
 bool RunFigure(bool smoke) {
   SystemSpec spec;
   spec.num_events = 12;
@@ -100,7 +99,7 @@ bool RunFigure(bool smoke) {
                    "SMAC +10%", "SMAC +20%"});
   size_t transfer_campaigns = 0;
   size_t total_target_rows = 0;
-  bool replay_accounting_ok = true;
+  bool transfer_ok = true;
   for (int thousands : {10, 20, 50}) {
     const Workload wl = ImageWorkload(thousands);
     const std::string target_env = WorkloadEnv(thousands);
@@ -123,11 +122,9 @@ bool RunFigure(bool smoke) {
       const uint64_t task_seed = 175 + static_cast<uint64_t>(100 * extra);
       const PerformanceTask task = MakeSimulatedTask(model, Tx2(), wl, task_seed);
 
-      // Heterogeneous fleet: the 5k recording + one live device at the
-      // target workload. Replayed rows can only come from the recording;
-      // fresh candidates can only run at the target workload.
+      // Target fleet: one live device at the target workload, so fresh
+      // candidates can only run there.
       std::vector<std::unique_ptr<MeasurementBackend>> backends;
-      backends.push_back(std::make_unique<RecordedBackend>(source_table, "tx2-5k-recorded"));
       DeviceProfile profile;
       profile.name = target_env + "-dev";
       profile.environment = target_env;
@@ -143,20 +140,20 @@ bool RunFigure(bool smoke) {
       CampaignRunner runner(task, ToCampaignOptions(options),
                             std::make_unique<BackendFleet>(std::move(backends)));
       OptimizePolicy inner(options, {latency});
-      TransferOptions transfer_options;
-      transfer_options.source_environment = WorkloadEnv(5);
-      transfer_options.target_environment = target_env;
-      TransferPolicy transfer(transfer_options, source_table, &inner);
-      runner.Run({&transfer});
+      runner.engine().SeedFromTable(source_table);
+      runner.Run({&inner});
       const OptimizeResult& result = inner.result();
       ++transfer_campaigns;
       total_target_rows += result.target_rows;
-      // The claim the footer prints, actually measured: the recording
-      // served the whole replay, nothing else did.
+      // The claim the footer prints, actually checked: the engine holds the
+      // whole recording as source rows, and no fleet member could measure
+      // the source workload.
       const FleetStats fleet_stats = runner.broker().fleet_stats();
-      replay_accounting_ok = replay_accounting_ok && fleet_stats.failed == 0 &&
-                             fleet_stats.backends[0].completed == source_table.entries.size() &&
-                             result.source_rows == source_table.entries.size();
+      transfer_ok = transfer_ok && fleet_stats.failed == 0 &&
+                    result.source_rows == source_table.entries.size();
+      for (const auto& backend : fleet_stats.backends) {
+        transfer_ok = transfer_ok && backend.environment == target_env;
+      }
       row_values.push_back(gain_of(result.best_config));
     }
     // SMAC variants.
@@ -177,18 +174,19 @@ bool RunFigure(bool smoke) {
   }
   std::printf("%s", table.Render().c_str());
   std::printf("(gain%% over the default configuration; each of the %zu Unicorn +N%%\n"
-              " campaigns warm-started its engine from the %zu-row 5k recording and\n"
+              " campaigns seeded its engine with the %zu-row 5k recording and\n"
               " together they spent %zu fresh target-workload measurements — zero\n"
-              " fresh source-workload measurements, all replay served by the\n"
-              " RecordedBackend. Expected shape: Unicorn's reused/refined optima\n"
-              " beat the SMAC variants as the workload grows.)\n",
+              " fresh source-workload measurements: every target fleet holds only\n"
+              " target-workload devices. Expected shape: Unicorn's reused/refined\n"
+              " optima beat the SMAC variants as the workload grows.)\n",
               transfer_campaigns, source_table.entries.size(), total_target_rows);
-  if (!replay_accounting_ok) {
-    std::printf("FAILED: replay accounting broken — a replayed source row was not\n"
-                " served by the RecordedBackend (or a request failed)\n");
+  if (!transfer_ok) {
+    std::printf("FAILED: transfer accounting broken — the engine does not hold the\n"
+                " whole recording, a request failed, or a fleet member could measure\n"
+                " the source workload\n");
   }
   std::remove(table_path.c_str());
-  return replay_accounting_ok;
+  return transfer_ok;
 }
 
 }  // namespace

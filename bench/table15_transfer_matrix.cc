@@ -1,19 +1,19 @@
 // Table 15 (appendix): transferring causal models across hardware
-// platforms, each cell a transfer campaign on a heterogeneous fleet. Three
-// scenarios: TX1->TX2 (latency), TX2->Xavier (energy), Xavier->TX1 (heat);
-// each with Unicorn (Reuse) / Unicorn+25 / Unicorn (Rerun). Per (scenario,
-// system): record observational samples on a live simulated source device
-// through the measurement plane, persist the table, then debug every fault
-// on a fleet of the source recording (RecordedBackend) + live target
-// devices — environment-aware routing guarantees zero fresh source-hardware
-// measurements in every variant.
+// platforms, each cell a transfer campaign. Three scenarios: TX1->TX2
+// (latency), TX2->Xavier (energy), Xavier->TX1 (heat); each with Unicorn
+// (Reuse) / Unicorn+25 / Unicorn (Rerun). Per (scenario, system): record
+// observational samples on a live simulated source device through the
+// measurement plane, persist the table, then debug every fault on a fleet
+// of live target devices only, seeding the engine with the recording in the
+// Reuse and +25 variants — zero fresh source-hardware measurements in every
+// variant.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstring>
 
 #include "bench/common.h"
-#include "unicorn/backend/recorded_backend.h"
+#include "unicorn/backend/measurement_table.h"
 #include "unicorn/campaign.h"
 #include "util/text_table.h"
 
@@ -117,10 +117,8 @@ void RunScenario(const TransferSpec& ts, TextTable* table) {
         options.seed = 171 + f;
         options.environment = ts.target.name;
 
-        // Heterogeneous fleet: source recording + two live target devices.
+        // Target fleet: two live target devices.
         std::vector<std::unique_ptr<MeasurementBackend>> backends;
-        backends.push_back(std::make_unique<RecordedBackend>(
-            source_table, std::string(ts.source.name) + "-recorded"));
         for (int b = 0; b < 2; ++b) {
           DeviceProfile profile;
           profile.name = std::string(ts.target.name) + "-" + std::to_string(b);
@@ -133,14 +131,9 @@ void RunScenario(const TransferSpec& ts, TextTable* table) {
                               std::make_unique<BackendFleet>(std::move(backends)));
         DebugPolicy inner(options, fault.config, GoalsForFault(curation, fault));
         if (scenario.transfer) {
-          TransferOptions transfer_options;
-          transfer_options.source_environment = ts.source.name;
-          transfer_options.target_environment = ts.target.name;
-          TransferPolicy transfer(transfer_options, source_table, &inner);
-          runner.Run({&transfer});
-        } else {
-          runner.Run({&inner});
+          runner.engine().SeedFromTable(source_table);
         }
+        runner.Run({&inner});
         const DebugResult& result = inner.result();
         accuracy +=
             AceWeightedJaccard(result.predicted_root_causes, fault.root_causes, weights);
@@ -181,8 +174,9 @@ int main(int argc, char** argv) {
                        &table);
   std::printf("\n=== Table 15: cross-hardware transfer matrix (fleet campaigns) ===\n%s",
               table.Render().c_str());
-  std::printf("(every cell ran on a fleet of {source recording, 2 live target devices};\n"
-              " src/tgt rows = engine provenance split. Expected shape: +25 close to\n"
-              " Rerun; Reuse degrades but stays useful)\n");
+  std::printf("(every cell ran on a fleet of 2 live target devices; Reuse and +25\n"
+              " seeded the engine with the source recording. src/tgt rows = engine\n"
+              " provenance split. Expected shape: +25 close to Rerun; Reuse degrades\n"
+              " but stays useful)\n");
   return 0;
 }

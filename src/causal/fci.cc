@@ -360,9 +360,12 @@ std::vector<size_t> FilterPdsPool(const std::vector<size_t>& pds_base, size_t y,
   return pds;
 }
 
+// Cap on the conditioning subsets one side examines per size.
+constexpr size_t kMaxPdsSubsets = 64;
+
 // One side's whole sweep, precomputed: the subsets in examination order
-// (sizes 1..max_pds_cond_size, lexicographic within a size, capped per size),
-// plus their int form for the CI request.
+// (sizes 1..max_pds_cond_size, lexicographic within a size, at most
+// kMaxPdsSubsets per size), plus their int form for the CI request.
 struct PdsSweep {
   std::vector<std::vector<size_t>> subsets;  // for SepsetMap::Set
   std::vector<std::vector<int>> sets;        // for BatchedCIRequest
@@ -371,8 +374,7 @@ struct PdsSweep {
 PdsSweep BuildPdsSweep(const std::vector<size_t>& pool, const FciOptions& options) {
   PdsSweep sweep;
   for (int d = 1; d <= options.max_pds_cond_size; ++d) {
-    for (auto& subset :
-         Subsets(pool, static_cast<size_t>(d), options.max_pds_subsets)) {
+    for (auto& subset : Subsets(pool, static_cast<size_t>(d), kMaxPdsSubsets)) {
       sweep.sets.emplace_back(subset.begin(), subset.end());
       sweep.subsets.push_back(std::move(subset));
     }

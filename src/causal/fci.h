@@ -21,7 +21,6 @@ struct FciOptions {
   SkeletonOptions skeleton;
   // Cap on Possible-D-SEP conditioning-set size (the dominant cost).
   int max_pds_cond_size = 3;
-  size_t max_pds_subsets = 64;
   bool use_possible_dsep = true;
 };
 

@@ -155,15 +155,16 @@ double FisherZTest::PartialCorrelation(int x, int y, const std::vector<int>& s) 
     return Correlation(static_cast<size_t>(x), static_cast<size_t>(y));
   }
   // Partial correlation via regression residuals in correlation space:
-  // solve Css * bx = Csx and Css * by = Csy, then
+  // solve Css * [bx by] = [Csx Csy] (one elimination, both right-hand sides
+  // as the columns of `b`), then
   // r = (Cxy - bx'Csy) / sqrt((1 - bx'Csx)(1 - by'Csy)).
-  // The solver works in place, so each solve gets its own copy of Css; the
-  // scratch is per thread and reused across calls.
+  // The scratch is per thread and reused across calls.
   const size_t k = s.size();
-  thread_local std::vector<double> css, css_y, csx, csy, bx, by;
+  thread_local std::vector<double> css, csx, csy, b;
   css.resize(k * k);
   csx.resize(k);
   csy.resize(k);
+  b.resize(2 * k);
   for (size_t i = 0; i < k; ++i) {
     for (size_t j = 0; j < k; ++j) {
       css[i * k + j] = Correlation(static_cast<size_t>(s[i]), static_cast<size_t>(s[j]));
@@ -172,21 +173,19 @@ double FisherZTest::PartialCorrelation(int x, int y, const std::vector<int>& s) 
     css[i * k + i] += 1e-9;
     csx[i] = Correlation(static_cast<size_t>(s[i]), static_cast<size_t>(x));
     csy[i] = Correlation(static_cast<size_t>(s[i]), static_cast<size_t>(y));
+    b[2 * i] = csx[i];
+    b[2 * i + 1] = csy[i];
   }
-  css_y = css;
-  bx = csx;
-  by = csy;
-  if (!SolveLinearSystem(k, css.data(), bx.data()) ||
-      !SolveLinearSystem(k, css_y.data(), by.data())) {
+  if (!SolveLinearSystem(k, css.data(), b.data(), 2)) {
     return 0.0;
   }
   double num = Correlation(static_cast<size_t>(x), static_cast<size_t>(y));
   double dx = 1.0;
   double dy = 1.0;
   for (size_t i = 0; i < k; ++i) {
-    num -= bx[i] * csy[i];
-    dx -= bx[i] * csx[i];
-    dy -= by[i] * csy[i];
+    num -= b[2 * i] * csy[i];
+    dx -= b[2 * i] * csx[i];
+    dy -= b[2 * i + 1] * csy[i];
   }
   if (dx <= 1e-12 || dy <= 1e-12) {
     return 0.0;

@@ -7,11 +7,13 @@
 
 namespace unicorn {
 
-// Solves M x = rhs in place by Gaussian elimination with partial pivoting.
-// `m` holds the n x n matrix row-major and is overwritten; `rhs` (n entries)
-// is replaced by the solution. Returns false when M is numerically singular,
-// leaving both buffers unspecified.
-bool SolveLinearSystem(size_t n, double* m, double* rhs);
+// Solves M X = rhs in place by Gaussian elimination with partial pivoting.
+// `m` holds the n x n matrix row-major and is overwritten; `rhs` holds the
+// n x nrhs right-hand sides row-major and is replaced by the solutions. One
+// elimination serves every column, and each column's result is bit-equal
+// to a one-column solve of it. Returns false when M is numerically
+// singular, leaving both buffers unspecified.
+bool SolveLinearSystem(size_t n, double* m, double* rhs, size_t nrhs = 1);
 
 }  // namespace unicorn
 

@@ -331,7 +331,9 @@ void WireSystem(Builder* b, uint64_t seed, int num_events, bool include_heat,
         continue;
       }
       MechanismTerm term;
-      term.inputs = {cond.var};
+      // push_back, not `= {cond.var}`: GCC 12 at -O3 inlines that
+      // initializer-list assign here into a spurious -Wnonnull warning.
+      term.inputs.push_back(cond.var);
       term.coeff = rng.Uniform(0.35, 0.9) * (rng.Bernoulli(0.5) ? 1.0 : -1.0);
       term.saturating = rng.Bernoulli(0.25);
       b->AddTermTo(feed_events[rng.UniformInt(static_cast<uint64_t>(feed_events.size()))],

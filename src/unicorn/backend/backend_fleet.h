@@ -26,10 +26,9 @@
 // Environment-aware routing: a request submitted with a non-empty
 // environment is eligible only for backends whose environment() matches it
 // exactly; an untagged request may land on any backend. This is how a
-// transfer campaign pins source-hardware requests to the RecordedBackend
-// replaying the source recording while target requests go to live target
-// devices — and why "Unicorn (Reuse)" can guarantee zero fresh
-// source-hardware measurements.
+// transfer campaign pins its fresh requests to live target devices, and
+// how requests tagged with a recorded environment reach the RecordedBackend
+// replaying that recording instead of live hardware.
 //
 // Determinism: routing reacts to live queue depths, so WHICH backend
 // measures a configuration depends on timing — but with homogeneous

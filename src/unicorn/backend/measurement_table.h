@@ -14,8 +14,9 @@
 // bit-exactly: the broker keys its cache on the exact bit pattern of a
 // configuration, and replay identity depends on getting those bits back.
 // `provenance` is the environment label of the backend that measured the row
-// (empty when unknown) — the column that lets a transfer campaign tell
-// source-hardware rows from target-hardware rows. v1 files (no provenance
+// (empty when unknown) — the label RecordedBackend adopts as its routing
+// tag; a transfer campaign seeds the recorded rows into its engine as
+// source-provenance rows (SeedFromTable). v1 files (no provenance
 // field) still load; their provenance reads back empty.
 #ifndef UNICORN_UNICORN_BACKEND_MEASUREMENT_TABLE_H_
 #define UNICORN_UNICORN_BACKEND_MEASUREMENT_TABLE_H_

@@ -5,10 +5,11 @@
 // It is the capability-aware fleet member: Supports() is false for anything
 // unrecorded, so routing sends known configurations here for free and novel
 // ones to live backends. With an environment tag — taken from the table's
-// provenance column when uniform, or set explicitly — it is also the
-// transfer benches' "source hardware we already measured": requests tagged
-// with the source environment resolve from the recording, and no fresh
-// source-hardware measurement ever happens.
+// provenance column when uniform, or set explicitly — requests tagged with
+// the recorded environment resolve from the recording, and no fresh
+// measurement on that hardware ever happens. (Rows that should teach a
+// model go straight into its engine via CausalModelEngine::SeedFromTable;
+// this backend answers *requests* for recorded configurations.)
 #ifndef UNICORN_UNICORN_BACKEND_RECORDED_BACKEND_H_
 #define UNICORN_UNICORN_BACKEND_RECORDED_BACKEND_H_
 

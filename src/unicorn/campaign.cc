@@ -59,92 +59,11 @@ double GoalViolation(const std::vector<double>& row, const std::vector<Objective
   return worst;
 }
 
-TransferPolicy::TransferPolicy(TransferOptions options, MeasurementTable source,
-                               CampaignPolicy* inner)
-    : options_(std::move(options)), source_(std::move(source)), inner_(inner) {
-  if (options_.max_source_rows > 0 && source_.entries.size() > options_.max_source_rows) {
-    source_.entries.resize(options_.max_source_rows);
-  }
-  // Nothing to replay: degrade to pure delegation from round 0 on.
-  replayed_ = source_.entries.empty();
-}
-
-bool TransferPolicy::WantsRefresh(const CampaignContext& ctx) {
-  return inner_->WantsRefresh(ctx);
-}
-
-std::vector<std::vector<double>> TransferPolicy::Propose(CampaignContext& ctx) {
-  std::vector<std::vector<double>> batch;
-  if (!replayed_) {
-    // Round 0: the source recording's configurations, then the inner
-    // policy's own bootstrap — ONE combined batch, so the inner policy sees
-    // the same round numbering (and thus the same refresh-seed stream) as a
-    // legacy warm-table run.
-    batch.reserve(source_.entries.size());
-    for (const auto& entry : source_.entries) {
-      batch.push_back(entry.config);
-    }
-    replay_count_ = batch.size();
-  } else {
-    replay_count_ = 0;
-  }
-  std::vector<std::vector<double>> inner_batch = inner_->Propose(ctx);
-  inner_proposed_ = inner_batch.size();
-  batch.insert(batch.end(), std::make_move_iterator(inner_batch.begin()),
-               std::make_move_iterator(inner_batch.end()));
-  return batch;
-}
-
-std::vector<std::string> TransferPolicy::ProposalEnvironments(size_t proposal_size) {
-  std::vector<std::string> envs(replay_count_, options_.source_environment);
-  std::vector<std::string> inner_envs = inner_->ProposalEnvironments(inner_proposed_);
-  if (inner_envs.empty()) {
-    // Backstop: an untagged fresh request could otherwise be routed to the
-    // source recording if its configuration happens to be recorded.
-    envs.resize(proposal_size, options_.target_environment);
-  } else {
-    envs.insert(envs.end(), std::make_move_iterator(inner_envs.begin()),
-                std::make_move_iterator(inner_envs.end()));
-  }
-  return envs;
-}
-
-void TransferPolicy::Absorb(const std::vector<std::vector<double>>& configs,
-                            const std::vector<std::vector<double>>& rows,
-                            CampaignContext& ctx) {
-  if (replayed_) {
-    inner_->Absorb(configs, rows, ctx);  // every round after the replay
-    return;
-  }
-  // The replayed slice: straight into the shared engine, tagged as
-  // source-provenance rows (the warm model's training set).
-  size_t offset = 0;
-  for (; offset < replay_count_; ++offset) {
-    ctx.engine.AddRow(rows[offset], RowProvenance::kSource);
-    ++stats_.source_rows;
-  }
-  replayed_ = true;
-  if (inner_proposed_ == 0) {
-    return;  // the runner never hands empty slices to a policy
-  }
-  const std::vector<std::vector<double>> inner_configs(configs.begin() + offset, configs.end());
-  const std::vector<std::vector<double>> inner_rows(rows.begin() + offset, rows.end());
-  inner_->Absorb(inner_configs, inner_rows, ctx);
-}
-
-bool TransferPolicy::Finished() const { return replayed_ && inner_->Finished(); }
-
-void TransferPolicy::Finalize(CampaignContext& ctx) {
-  inner_->Finalize(ctx);
-  stats_.target_rows = ctx.engine.ProvenanceRows(RowProvenance::kTarget);
-}
-
 ShardPoolOptions CampaignRunner::MakePoolOptions(const CampaignOptions& options) {
   ShardPoolOptions pool;
   pool.model = options.model;
   pool.engine = options.engine;
   pool.refresh_threads = options.refresh_threads;
-  pool.share_ci_cache = options.share_ci_cache;
   return pool;
 }
 

@@ -18,13 +18,11 @@
 // for the rest. The plain Run/RunAsync overloads put every policy in one
 // default group, which is exactly the old single-engine campaign.
 //
-// Cross-environment transfer is a first-class campaign scenario:
-// TransferPolicy replays a recorded source-hardware table through the
-// measurement plane (served by the fleet's RecordedBackend — zero fresh
-// source measurements), warm-starting the shared engine with
-// source-provenance rows, then hands the rounds to an inner debug/optimize
-// policy whose fresh measurements route to live target-environment
-// backends.
+// Cross-environment transfer seeds the target shard: before Run, a recorded
+// source-hardware table goes straight into the engine as source-provenance
+// rows (engine().SeedFromTable / SeedFromFile, or a policy's warm-start
+// table) — zero fresh source measurements — and the policy's fresh
+// measurements route to live target-environment backends.
 #ifndef UNICORN_UNICORN_CAMPAIGN_H_
 #define UNICORN_UNICORN_CAMPAIGN_H_
 
@@ -33,7 +31,6 @@
 #include <vector>
 
 #include "causal/counterfactual.h"
-#include "unicorn/backend/measurement_table.h"
 #include "unicorn/engine_pool.h"
 #include "unicorn/measurement_broker.h"
 #include "unicorn/model_learner.h"
@@ -122,76 +119,6 @@ class CampaignPolicy {
   virtual void Finalize(CampaignContext& ctx) = 0;
 };
 
-/// Options of the transfer wrapper (see TransferPolicy). Plain value type.
-struct TransferOptions {
-  /// Routing tag the replayed source configurations are submitted with; it
-  /// must match the fleet's recorded-source member (RecordedBackend adopts
-  /// the table's provenance label automatically). Empty = untagged: the
-  /// replay may then land on any backend that Supports() the config, which
-  /// is only correct in single-environment fleets.
-  std::string source_environment;
-  /// Backstop routing tag for the inner policy's requests: applied to every
-  /// round for which the inner policy returns no tags of its own. Without
-  /// it, an untagged fresh request whose configuration happens to exist in
-  /// the recording could be answered by the source RecordedBackend and be
-  /// silently absorbed as a "target" row. Inner-policy tags (e.g.
-  /// DebugOptions::environment) take precedence; empty = no backstop.
-  std::string target_environment;
-  /// Replay at most this many recorded rows (0 = the whole recording).
-  size_t max_source_rows = 0;
-};
-
-/// How much of a transfer campaign's model rests on reused source rows
-/// versus fresh target measurements (paper Fig. 16/17, Table 15 reporting).
-struct TransferStats {
-  size_t source_rows = 0;  ///< recorded rows replayed into the engine
-  size_t target_rows = 0;  ///< rows in the shared engine measured live
-};
-
-/// Cross-environment transfer as a campaign policy: wraps an inner
-/// debug/optimize policy. Its first round proposes the recorded source
-/// table's configurations (tagged with the source environment, so the
-/// fleet's RecordedBackend answers them — zero fresh source-hardware
-/// measurements) concatenated with the inner policy's own first-round
-/// batch; the replayed rows are absorbed into the shared engine with
-/// RowProvenance::kSource. Every later round delegates to the inner policy
-/// unchanged. Because the replay and the inner bootstrap share round 0, the
-/// refresh-seed stream the inner policy sees is identical to a legacy
-/// warm-table run — with matching source rows and a target fleet matching
-/// the legacy task, results are bit-identical (pinned by
-/// tests/transfer_campaign_test.cc).
-///
-/// Thread-safety: as CampaignPolicy (single campaign thread). The inner
-/// policy is borrowed, must outlive the TransferPolicy, and must not be
-/// driven by anything else during the campaign.
-/// Failure: an empty or shape-mismatched recording replays nothing (the
-/// wrapper degrades to pure delegation); replay requests no fleet member
-/// can serve surface as broker measurement failures.
-class TransferPolicy : public CampaignPolicy {
- public:
-  TransferPolicy(TransferOptions options, MeasurementTable source, CampaignPolicy* inner);
-
-  bool WantsRefresh(const CampaignContext& ctx) override;
-  std::vector<std::vector<double>> Propose(CampaignContext& ctx) override;
-  std::vector<std::string> ProposalEnvironments(size_t proposal_size) override;
-  void Absorb(const std::vector<std::vector<double>>& configs,
-              const std::vector<std::vector<double>>& rows, CampaignContext& ctx) override;
-  bool Finished() const override;
-  void Finalize(CampaignContext& ctx) override;
-
-  /// Valid once the campaign has run (Finalize was called).
-  const TransferStats& stats() const { return stats_; }
-
- private:
-  TransferOptions options_;
-  MeasurementTable source_;
-  CampaignPolicy* inner_;
-  bool replayed_ = false;       // source configs already proposed?
-  size_t replay_count_ = 0;     // replay slice of the round-0 proposal
-  size_t inner_proposed_ = 0;   // inner slice of the current proposal
-  TransferStats stats_;
-};
-
 /// A policy plus the objective group whose engine shard it reasons on.
 /// Policies with equal group strings share one shard (one table, one model);
 /// distinct groups get distinct shards that refresh in parallel.
@@ -214,9 +141,6 @@ struct CampaignOptions {
   /// ShardPoolOptions::refresh_threads). 1 = serial; results bit-identical
   /// for any value.
   int refresh_threads = 1;
-  /// One process-wide CI cache across all shards (cross-shard p-value
-  /// reuse); see ShardPoolOptions::share_ci_cache.
-  bool share_ci_cache = true;
   /// RunAsyncGrouped engine. true (default): the pipelined campaign
   /// scheduler — shard refreshes run asynchronously on the pool's refresh
   /// workers and dirty shards of different policies coalesce into one

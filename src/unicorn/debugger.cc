@@ -49,8 +49,8 @@ std::vector<std::vector<double>> DebugPolicy::Propose(CampaignContext& ctx) {
                        options_.repairs_per_iteration * options_.max_iterations + 2);
     if (warm_start_ != nullptr) {
       // Transferred observational data: tag it as source provenance so
-      // DebugResult reports the reuse split the same way the fleet-backed
-      // TransferPolicy path does.
+      // DebugResult reports the reuse split the same way a shard seeded
+      // with SeedFromTable does.
       ctx.engine.AppendRows(*warm_start_, RowProvenance::kSource);
     }
     roles_ = StructuralConstraints(ctx.task.variables).roles();

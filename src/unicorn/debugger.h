@@ -70,7 +70,7 @@ struct DebugResult {
   std::vector<size_t> selected_options;
   MixedGraph final_graph;
   // Row-provenance split of the engine's table when the policy finalized:
-  // how much of the model rests on replayed source-hardware rows versus
+  // how much of the model rests on seeded source-hardware rows versus
   // fresh measurements (transfer campaigns; equal to the engine-wide counts
   // when this was the only policy).
   size_t source_rows = 0;

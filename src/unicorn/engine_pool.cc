@@ -53,10 +53,11 @@ size_t EngineShardPool::ShardForGroup(const std::string& group) {
   const size_t index = shards_.size();
   shards_.push_back(
       std::make_unique<CausalModelEngine>(variables_, options_.model, options_.engine));
-  // Sharing kicks in lazily, from the second shard on: a lone shard runs
-  // uncached, because with nobody to share with the process-wide cache
-  // would only accumulate unreachable entries.
-  if (options_.share_ci_cache && shards_.size() >= 2) {
+  // All shards consult one process-wide CI cache (fingerprint-keyed; see
+  // stats/ci_cache.h). Sharing kicks in lazily, from the second shard on: a
+  // lone shard runs uncached, because with nobody to share with the
+  // process-wide cache would only accumulate unreachable entries.
+  if (shards_.size() >= 2) {
     shards_.back()->ShareCICache(&shared_cache_, static_cast<uint32_t>(index));
     if (shards_.size() == 2) {
       shards_.front()->ShareCICache(&shared_cache_, 0);

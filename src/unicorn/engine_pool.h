@@ -51,12 +51,6 @@ struct ShardPoolOptions {
   // Worker threads for parallel shard refreshes (1 = refresh dirty shards
   // one after another). Results are bit-identical for any value.
   int refresh_threads = 1;
-  // All shards consult one process-wide CI cache (fingerprint-keyed; see
-  // stats/ci_cache.h). Sharing engages lazily from the second shard on — a
-  // single-shard pool runs uncached, since there is nobody to share with.
-  // Off = every shard evaluates every test it asks and the cross-shard
-  // counters stay zero.
-  bool share_ci_cache = true;
 };
 
 // Fleet-style aggregate over every shard's EngineStats, plus the pool-level

@@ -265,23 +265,4 @@ bool MeasurementBroker::SaveCache(const std::string& path) const {
                               cache_entries_);
 }
 
-size_t MeasurementBroker::LoadCache(const std::string& path) {
-  MeasurementTable table;
-  if (!LoadMeasurementTable(path, &table)) {
-    return 0;
-  }
-  if (table.num_options != task_.option_vars.size() ||
-      table.num_vars != task_.variables.size()) {
-    return 0;  // a table for a different task shape would poison the cache
-  }
-  size_t added = 0;
-  for (auto& entry : table.entries) {
-    if (cache_index_.count(EnvConfig{entry.provenance, entry.config}) == 0) {
-      InsertCache(entry.config, entry.provenance, std::move(entry.row));
-      ++added;
-    }
-  }
-  return added;
-}
-
 }  // namespace unicorn

@@ -186,17 +186,13 @@ class MeasurementBroker {
   // --- cache persistence (cross-campaign table sharing) --------------------
   //
   // Saves the dedup cache — every (configuration, row) this broker ever
-  // measured or loaded — as a MeasurementTable CSV, in insertion order (the
-  // same format RecordedBackend replays). Measured rows insert as their
-  // completions drain, so the order is run-to-run stable only on a fleet
-  // with one worker. Each entry's environment tag is persisted as the
-  // table's provenance column. False on I/O failure.
+  // measured — as a MeasurementTable CSV, in insertion order (the same
+  // format RecordedBackend replays and CausalModelEngine::SeedFromFile
+  // seeds from). Measured rows insert as their completions drain, so the
+  // order is run-to-run stable only on a fleet with one worker. Each
+  // entry's environment tag is persisted as the table's provenance column.
+  // False on I/O failure.
   bool SaveCache(const std::string& path) const;
-  // Pre-warms the dedup cache from a MeasurementTable CSV; loaded entries
-  // key on their provenance label as the environment. Entries whose shape
-  // does not match the task (option/variable counts) are rejected
-  // wholesale. Returns the number of entries added (0 on failure/mismatch).
-  size_t LoadCache(const std::string& path);
 
   const BrokerStats& stats() const { return stats_; }
   // Fleet-side ledger (dispatch/retry/circuit-break accounting).

@@ -286,7 +286,9 @@ DebugOptions PoolDebugOptions() {
 // The acceptance pin: a single-group campaign through the sharded runner is
 // bit-identical (graph + stats + trajectory) whatever the pool's refresh
 // thread count, the engine's skeleton thread count, or whether the CI cache
-// is shared — sharding must be invisible until a second group exists.
+// is shared — sharding must be invisible until a second group exists. A
+// named group's shard is the pool's second and consults the shared cache; a
+// plain Run's shard 0 runs alone and uncached.
 TEST(EnginePoolTest, SingleGroupCampaignBitIdenticalAcrossPoolConfigurations) {
   SystemSpec spec;
   spec.num_events = 10;
@@ -307,7 +309,7 @@ TEST(EnginePoolTest, SingleGroupCampaignBitIdenticalAcrossPoolConfigurations) {
   struct Config {
     int refresh_threads;
     int engine_threads;
-    bool share_ci_cache;
+    bool grouped;
   };
   DebugResult results[4];
   size_t i = 0;
@@ -317,14 +319,20 @@ TEST(EnginePoolTest, SingleGroupCampaignBitIdenticalAcrossPoolConfigurations) {
     options.engine.num_threads = config.engine_threads;
     CampaignOptions campaign = ToCampaignOptions(options);
     campaign.refresh_threads = config.refresh_threads;
-    campaign.share_ci_cache = config.share_ci_cache;
     CampaignRunner runner(task, campaign);
     DebugPolicy policy(options, fault->config, goals);
-    runner.RunGrouped({GroupedPolicy{&policy, "only-group"}});
+    if (config.grouped) {
+      runner.RunGrouped({GroupedPolicy{&policy, "only-group"}});
+    } else {
+      runner.Run({&policy});
+      EXPECT_EQ(runner.pool().num_shards(), 1u);
+      EXPECT_EQ(runner.pool().shared_cache().lookups(), 0);
+    }
     results[i] = policy.TakeResult();
     if (i == 0) {
       EXPECT_EQ(runner.pool().num_shards(), 2u);  // default shard + "only-group"
       EXPECT_EQ(results[0].shard, 1u);            // the named group's shard
+      EXPECT_GT(runner.pool().shared_cache().lookups(), 0);
       ASSERT_FALSE(results[0].fixed_config.empty());
     } else {
       const DebugResult& r = results[i];

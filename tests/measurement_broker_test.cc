@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -13,6 +14,7 @@
 #include "eval/harness.h"
 #include "sysmodel/systems.h"
 #include "unicorn/backend/in_process_backend.h"
+#include "unicorn/backend/recorded_backend.h"
 
 namespace unicorn {
 namespace {
@@ -159,7 +161,10 @@ TEST(MeasurementBrokerTest, SyncPathActiveWallWithinBatchWall) {
   EXPECT_DOUBLE_EQ(stats.Utilization(), stats.busy_seconds / stats.active_wall_seconds);
 }
 
-TEST(MeasurementBrokerTest, SaveCacheLoadCacheRoundTripsBitExactly) {
+// SaveCache round-trips bit-exactly: the table loads back with every
+// measured (configuration, row), and a fleet whose only member replays the
+// file answers the whole batch with zero live measurements.
+TEST(MeasurementBrokerTest, SaveCacheRoundTripsBitExactly) {
   const PerformanceTask task = MakeTask(13);
   const auto configs = SampleBatch(task, 20, 14);
   const std::string path = ::testing::TempDir() + "broker_cache_roundtrip.csv";
@@ -168,16 +173,30 @@ TEST(MeasurementBrokerTest, SaveCacheLoadCacheRoundTripsBitExactly) {
   const auto reference = first.MeasureBatch(configs);
   ASSERT_TRUE(first.SaveCache(path));
 
-  // A fresh broker warm-started from the file serves the whole batch from
-  // cache: zero live measurements, rows bit-identical.
-  MeasurementBroker second(task);
-  EXPECT_EQ(second.LoadCache(path), configs.size());
-  EXPECT_EQ(second.MeasureBatch(configs), reference);
-  EXPECT_EQ(second.stats().measured, 0u);
-  EXPECT_EQ(second.stats().cache_hits, configs.size());
+  MeasurementTable table;
+  ASSERT_TRUE(LoadMeasurementTable(path, &table));
+  EXPECT_EQ(table.num_options, task.option_vars.size());
+  EXPECT_EQ(table.num_vars, task.variables.size());
+  std::map<std::vector<double>, std::vector<double>> measured;
+  for (size_t i = 0; i < configs.size(); ++i) {
+    measured.emplace(configs[i], reference[i]);
+  }
+  ASSERT_EQ(table.entries.size(), measured.size());
+  for (const auto& entry : table.entries) {
+    const auto it = measured.find(entry.config);
+    ASSERT_NE(it, measured.end());
+    EXPECT_EQ(entry.row, it->second);
+    EXPECT_EQ(entry.provenance, "");  // task-only broker: untagged
+  }
 
-  // Loading again adds nothing (entries already present).
-  EXPECT_EQ(second.LoadCache(path), 0u);
+  std::vector<std::unique_ptr<MeasurementBackend>> backends;
+  backends.push_back(std::make_unique<RecordedBackend>(RecordedBackend::FromFile(path)));
+  MeasurementBroker replay(task, std::make_unique<BackendFleet>(std::move(backends)));
+  EXPECT_EQ(replay.MeasureBatch(configs), reference);
+  const FleetStats fleet = replay.fleet_stats();
+  ASSERT_EQ(fleet.backends.size(), 1u);
+  EXPECT_EQ(fleet.backends[0].completed, measured.size());
+  EXPECT_EQ(fleet.failed, 0u);
   std::remove(path.c_str());
 }
 
@@ -208,14 +227,6 @@ TEST(MeasurementBrokerTest, EnvironmentTagsPartitionCacheAndPersistAsProvenance)
   EXPECT_EQ(table.entries.front().provenance, "Xavier");
   EXPECT_EQ(table.entries.back().provenance, "TX2");
   EXPECT_EQ(table.UniformProvenance(), "");  // mixed labels
-
-  // A fresh broker warm-started from the file keeps the partition.
-  MeasurementBroker second(task, TaggedFleet(task));
-  EXPECT_EQ(second.LoadCache(path), 2 * configs.size());
-  second.MeasureBatch(configs, std::vector<std::string>(configs.size(), "Xavier"));
-  EXPECT_EQ(second.stats().measured, 0u);
-  second.MeasureBatch(configs);  // untagged: not in cache, measured fresh
-  EXPECT_EQ(second.stats().measured, configs.size());
   std::remove(path.c_str());
 }
 
@@ -284,24 +295,6 @@ TEST(MeasurementBrokerTest, ThrowingMeasureFailsOnlyItsRequest) {
     const auto fresh = SampleBatch(base, 3, 47);
     EXPECT_EQ(broker.MeasureBatch(fresh), MeasureSerially(base, fresh));
   }
-}
-
-TEST(MeasurementBrokerTest, LoadCacheRejectsMismatchedTaskShape) {
-  const PerformanceTask task = MakeTask(15);
-  const std::string path = ::testing::TempDir() + "broker_cache_mismatch.csv";
-  {
-    MeasurementBroker broker(task);
-    broker.MeasureBatch(SampleBatch(task, 5, 16));
-    ASSERT_TRUE(broker.SaveCache(path));
-  }
-  // A task with a different variable layout must not absorb the file.
-  SystemSpec spec;
-  spec.num_events = 4;
-  auto other_model = std::make_shared<SystemModel>(BuildSystem(SystemId::kSqlite, spec));
-  const PerformanceTask other = MakeSimulatedTask(other_model, Tx2(), DefaultWorkload(), 17);
-  MeasurementBroker broker(other);
-  EXPECT_EQ(broker.LoadCache(path), 0u);
-  std::remove(path.c_str());
 }
 
 TEST(MeasurementBrokerTest, AsyncSubmitBatchStreamsCompletions) {

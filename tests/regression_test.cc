@@ -63,6 +63,35 @@ TEST(SolveLinearSystemTest, ThreeByThreeWithRowSwap) {
                              -0x1.99b135c7a055ep-2}));
 }
 
+// Two right-hand sides (stored row-major as 3 x 2) through one elimination,
+// with the same row swap, are bit-equal to two one-column solves.
+TEST(SolveLinearSystemTest, TwoRightHandSidesMatchOneColumnSolves) {
+  const std::vector<double> m = {1e-3, 2.0, 3.0,  //
+                                 4.0,  5.0, 6.5,  //
+                                 7.0,  8.25, 10.0};
+  const std::vector<double> first = {1.0, 2.0, 3.5};
+  const std::vector<double> second = {-0.3, 0.7, 1.9};
+  std::vector<double> both(6);
+  for (size_t i = 0; i < 3; ++i) {
+    both[2 * i] = first[i];
+    both[2 * i + 1] = second[i];
+  }
+  std::vector<double> m_both = m;
+  ASSERT_TRUE(SolveLinearSystem(3, m_both.data(), both.data(), 2));
+
+  std::vector<double> m_first = m;
+  std::vector<double> x_first = first;
+  ASSERT_TRUE(SolveLinearSystem(3, m_first.data(), x_first.data()));
+  std::vector<double> m_second = m;
+  std::vector<double> x_second = second;
+  ASSERT_TRUE(SolveLinearSystem(3, m_second.data(), x_second.data()));
+
+  EXPECT_TRUE(SameBits({both[0], both[2], both[4]}, x_first));
+  EXPECT_TRUE(SameBits({both[1], both[3], both[5]}, x_second));
+  EXPECT_TRUE(SameBits(x_first, {-0x1.cd2262f3a53b2p-3, 0x1.19a9d4f93e3b7p+0,
+                                 -0x1.99b135c7a055ep-2}));
+}
+
 TEST(SolveLinearSystemTest, SingularMatrixIsRejected) {
   std::vector<double> m = {1.0, 2.0,  //
                            2.0, 4.0};

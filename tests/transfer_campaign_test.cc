@@ -1,16 +1,16 @@
-// Transfer campaigns on heterogeneous fleets: the acceptance stack of the
-// transfer rework.
+// Transfer campaigns on a target-only fleet: the acceptance stack of the
+// transfer path.
 //
-//   * The fleet-backed path — record the source environment, persist the
-//     table, replay it through a RecordedBackend into a fleet with live
-//     target devices, debug via TransferPolicy — must be BIT-IDENTICAL to
-//     the legacy warm-table path (UnicornDebugger::Debug(fault, goals,
-//     &warm_table)): same rows, same refresh-seed stream, same model, same
-//     diagnosis. The fleet is plumbing, never semantics.
-//   * The "Reuse" scenario issues zero fresh source-hardware measurements:
-//     every source row is served by the recording (there is no live source
-//     member to leak onto, and tagged target requests cannot land on the
-//     recording either).
+//   * Seeding the target shard with a recorded source table
+//     (CausalModelEngine::SeedFromTable) and running the policy on a fleet of
+//     live target devices must be BIT-IDENTICAL to handing the policy the
+//     same rows as its warm-start table (UnicornDebugger::Debug(fault, goals,
+//     &warm_table), OptimizePolicy(options, objectives, &warm_table)): same
+//     rows, same refresh-seed stream, same model, same diagnosis. The fleet
+//     is plumbing, never semantics.
+//   * No transfer scenario measures source hardware: the recording reaches
+//     the model only through the seed, and every fleet member is a target
+//     device.
 #include "unicorn/campaign.h"
 
 #include <gtest/gtest.h>
@@ -21,8 +21,8 @@
 #include "eval/harness.h"
 #include "sysmodel/faults.h"
 #include "sysmodel/systems.h"
-#include "unicorn/backend/recorded_backend.h"
 #include "unicorn/debugger.h"
+#include "unicorn/optimizer.h"
 
 namespace unicorn {
 namespace {
@@ -99,12 +99,10 @@ MeasurementTable RecordSource(const Scenario& s, size_t count, uint64_t seed,
   return table;
 }
 
-// Target fleet: the source recording + two live TX2 devices whose task seed
-// matches the target task (so fleet rows equal the target task's own rows).
-std::unique_ptr<BackendFleet> MakeTargetFleet(const Scenario& s,
-                                              const MeasurementTable& source_table) {
+// Target fleet: two live TX2 devices whose task seed matches the target task
+// (so fleet rows equal the target task's own rows).
+std::unique_ptr<BackendFleet> MakeTargetFleet(const Scenario& s) {
   std::vector<std::unique_ptr<MeasurementBackend>> backends;
-  backends.push_back(std::make_unique<RecordedBackend>(source_table, "xavier-recorded"));
   for (int b = 0; b < 2; ++b) {
     DeviceProfile profile;
     profile.name = "tx2-" + std::to_string(b);
@@ -115,9 +113,29 @@ std::unique_ptr<BackendFleet> MakeTargetFleet(const Scenario& s,
   return std::make_unique<BackendFleet>(std::move(backends));
 }
 
-// The acceptance pin: fleet-backed TransferPolicy == legacy warm-table
-// Debug, bit for bit, for both the "+N fresh samples" and the "Reuse"
-// (zero fresh bootstrap samples) shapes.
+// Legacy warm table: the recording's rows, in the same order, as a DataTable.
+DataTable WarmTable(const Scenario& s, const MeasurementTable& source_table) {
+  DataTable warm(s.model->variables());
+  warm.Reserve(source_table.entries.size());
+  for (const auto& entry : source_table.entries) {
+    warm.AddRow(entry.row);
+  }
+  return warm;
+}
+
+// Every fleet member is a live TX2 device and no request failed, so no
+// request could have measured source hardware.
+void ExpectTargetOnlyFleet(const FleetStats& stats) {
+  ASSERT_EQ(stats.backends.size(), 2u);
+  for (const auto& backend : stats.backends) {
+    EXPECT_EQ(backend.environment, "TX2");
+  }
+  EXPECT_EQ(stats.failed, 0u);
+}
+
+// The acceptance pin: a seeded shard on a TX2-only fleet == legacy
+// warm-table Debug, bit for bit, for both the "+N fresh samples" and the
+// "Reuse" (zero fresh bootstrap samples) shapes.
 TEST(TransferCampaignTest, FleetTransferMatchesLegacyWarmTableBitForBit) {
   const Scenario s = MakeScenario(500);
   const Fault* fault = PickFault(s.curation);
@@ -126,13 +144,7 @@ TEST(TransferCampaignTest, FleetTransferMatchesLegacyWarmTableBitForBit) {
 
   const std::string path = ::testing::TempDir() + "transfer_source_table.csv";
   const MeasurementTable source_table = RecordSource(s, 40, 510, path);
-
-  // Legacy warm table: the same rows, in the same order, as a DataTable.
-  DataTable warm(s.model->variables());
-  warm.Reserve(source_table.entries.size());
-  for (const auto& entry : source_table.entries) {
-    warm.AddRow(entry.row);
-  }
+  const DataTable warm = WarmTable(s, source_table);
 
   for (const size_t initial_samples : {size_t{15}, size_t{0}}) {
     DebugOptions options = FastDebugOptions();
@@ -142,16 +154,14 @@ TEST(TransferCampaignTest, FleetTransferMatchesLegacyWarmTableBitForBit) {
     UnicornDebugger debugger(s.target_task, options);
     const DebugResult legacy = debugger.Debug(fault->config, goals, &warm);
 
-    // Fleet path: recorded source + live TX2 devices, TransferPolicy.
+    // Seeded path: the recording seeds the target shard, live TX2 devices
+    // measure everything fresh.
     DebugOptions fleet_options = options;
-    fleet_options.environment = "TX2";  // fresh rows only from live TX2
-    CampaignRunner runner(s.target_task, ToCampaignOptions(fleet_options),
-                          MakeTargetFleet(s, source_table));
+    fleet_options.environment = "TX2";
+    CampaignRunner runner(s.target_task, ToCampaignOptions(fleet_options), MakeTargetFleet(s));
+    ASSERT_EQ(runner.engine().SeedFromTable(source_table), source_table.entries.size());
     DebugPolicy inner(fleet_options, fault->config, goals);
-    TransferOptions transfer_options;
-    transfer_options.source_environment = "Xavier";
-    TransferPolicy transfer(transfer_options, source_table, &inner);
-    runner.Run({&transfer});
+    runner.Run({&inner});
     const DebugResult& fleet = inner.result();
 
     EXPECT_EQ(fleet.fixed, legacy.fixed) << "initial_samples=" << initial_samples;
@@ -168,28 +178,18 @@ TEST(TransferCampaignTest, FleetTransferMatchesLegacyWarmTableBitForBit) {
     EXPECT_EQ(fleet.source_rows, source_table.entries.size());
     EXPECT_EQ(legacy.source_rows, source_table.entries.size());
     EXPECT_EQ(fleet.target_rows, fleet.measurements_used);
-    EXPECT_EQ(transfer.stats().source_rows, source_table.entries.size());
-    EXPECT_EQ(transfer.stats().target_rows, fleet.measurements_used);
+    EXPECT_EQ(legacy.target_rows, legacy.measurements_used);
 
-    // Zero fresh source-hardware measurements: the recording answered every
-    // source-tagged request, the live TX2 members everything else.
-    const FleetStats stats = runner.broker().fleet_stats();
-    ASSERT_EQ(stats.backends.size(), 3u);
-    EXPECT_EQ(stats.backends[0].environment, "Xavier");
-    EXPECT_EQ(stats.backends[0].completed, source_table.entries.size());
-    size_t live_completed = 0;
-    for (size_t b = 1; b < stats.backends.size(); ++b) {
-      EXPECT_EQ(stats.backends[b].environment, "TX2");
-      live_completed += stats.backends[b].completed;
-    }
-    EXPECT_EQ(live_completed, runner.broker().stats().measured -
-                                  source_table.entries.size());
-    EXPECT_EQ(stats.failed, 0u);
+    // Zero fresh source-hardware measurements: the broker was asked for
+    // exactly what the legacy path (which never asks for a source row)
+    // asked for, and only TX2 devices could answer.
+    EXPECT_EQ(runner.broker().stats().requests, legacy.broker_stats.requests);
+    ExpectTargetOnlyFleet(runner.broker().fleet_stats());
   }
   std::remove(path.c_str());
 }
 
-// TransferPolicy through the async runner: same contract, no barrier.
+// A seeded shard through the async runner: same contract, no barrier.
 TEST(TransferCampaignTest, AsyncFleetTransferMatchesSyncBitForBit) {
   const Scenario s = MakeScenario(520);
   const Fault* fault = PickFault(s.curation);
@@ -200,31 +200,24 @@ TEST(TransferCampaignTest, AsyncFleetTransferMatchesSyncBitForBit) {
   const MeasurementTable source_table = RecordSource(s, 30, 530, path);
 
   auto run = [&](bool async) {
-    // Deliberately no per-policy environment: TransferOptions'
-    // target_environment backstop must tag the inner rounds instead.
     DebugOptions options = FastDebugOptions();
-    CampaignRunner runner(s.target_task, ToCampaignOptions(options),
-                          MakeTargetFleet(s, source_table));
+    CampaignRunner runner(s.target_task, ToCampaignOptions(options), MakeTargetFleet(s));
+    EXPECT_EQ(runner.engine().SeedFromTable(source_table), source_table.entries.size());
     DebugPolicy inner(options, fault->config, goals);
-    TransferOptions transfer_options;
-    transfer_options.source_environment = "Xavier";
-    transfer_options.target_environment = "TX2";
-    TransferPolicy transfer(transfer_options, source_table, &inner);
     if (async) {
-      runner.RunAsync({&transfer});
+      runner.RunAsync({&inner});
     } else {
-      runner.Run({&transfer});
+      runner.Run({&inner});
     }
-    // The backstop held: the recording served exactly the replay, the live
-    // TX2 members everything fresh.
-    const FleetStats stats = runner.broker().fleet_stats();
-    EXPECT_EQ(stats.backends[0].completed, source_table.entries.size());
-    EXPECT_EQ(stats.failed, 0u);
+    ExpectTargetOnlyFleet(runner.broker().fleet_stats());
     return inner.result();
   };
   const DebugResult sync_result = run(false);
   const DebugResult async_result = run(true);
 
+  EXPECT_EQ(sync_result.source_rows, source_table.entries.size());
+  EXPECT_EQ(async_result.source_rows, sync_result.source_rows);
+  EXPECT_EQ(async_result.target_rows, sync_result.target_rows);
   EXPECT_EQ(async_result.fixed, sync_result.fixed);
   EXPECT_EQ(async_result.measurements_used, sync_result.measurements_used);
   EXPECT_EQ(async_result.fixed_config, sync_result.fixed_config);
@@ -234,49 +227,53 @@ TEST(TransferCampaignTest, AsyncFleetTransferMatchesSyncBitForBit) {
   std::remove(path.c_str());
 }
 
-// max_source_rows caps the replay; an empty recording degrades the wrapper
-// to pure delegation (identical to running the inner policy alone).
-TEST(TransferCampaignTest, ReplayCapAndEmptyTableDegradeGracefully) {
-  const Scenario s = MakeScenario(540);
-  const Fault* fault = PickFault(s.curation);
-  ASSERT_NE(fault, nullptr);
-  const auto goals = GoalsForFault(s.curation, *fault);
+// The optimize side (Fig. 17's shape): an OptimizePolicy refining a reused
+// optimum (anchor_configs) on a seeded shard == the same policy given the
+// recording as its warm-start table, bit for bit.
+TEST(TransferCampaignTest, SeededOptimizeMatchesWarmStartTableBitForBit) {
+  const Scenario s = MakeScenario(560);
+  const std::string path = ::testing::TempDir() + "transfer_optimize_table.csv";
+  const MeasurementTable source_table = RecordSource(s, 30, 570, path);
+  const DataTable warm = WarmTable(s, source_table);
+  const size_t latency = *warm.IndexOf(kLatencyName);
 
-  const std::string path = ::testing::TempDir() + "transfer_cap_table.csv";
-  const MeasurementTable source_table = RecordSource(s, 25, 550, path);
+  OptimizeOptions options;
+  options.initial_samples = 5;
+  options.max_iterations = 12;
+  options.relearn_every = 4;
+  options.anchor_configs = {source_table.entries.front().config};
+  options.model.fci.skeleton.max_cond_size = 2;
+  options.model.fci.skeleton.max_subsets = 16;
+  options.model.fci.max_pds_cond_size = 1;
+  options.model.entropic.latent.restarts = 1;
+  options.model.entropic.latent.iterations = 25;
 
-  {
-    DebugOptions options = FastDebugOptions();
-    options.environment = "TX2";
-    CampaignRunner runner(s.target_task, ToCampaignOptions(options),
-                          MakeTargetFleet(s, source_table));
-    DebugPolicy inner(options, fault->config, goals);
-    TransferOptions transfer_options;
-    transfer_options.source_environment = "Xavier";
-    transfer_options.max_source_rows = 10;
-    TransferPolicy transfer(transfer_options, source_table, &inner);
-    runner.Run({&transfer});
-    EXPECT_EQ(transfer.stats().source_rows, 10u);
-    EXPECT_EQ(inner.result().source_rows, 10u);
-  }
-  {
-    DebugOptions options = FastDebugOptions();
-    const CampaignOptions campaign = ToCampaignOptions(options);
+  CampaignRunner legacy_runner(s.target_task, ToCampaignOptions(options));
+  OptimizePolicy legacy_policy(options, {latency}, &warm);
+  legacy_runner.Run({&legacy_policy});
+  const OptimizeResult& legacy = legacy_policy.result();
 
-    CampaignRunner plain_runner(s.target_task, campaign);
-    DebugPolicy plain(options, fault->config, goals);
-    plain_runner.Run({&plain});
+  OptimizeOptions fleet_options = options;
+  fleet_options.environment = "TX2";
+  CampaignRunner runner(s.target_task, ToCampaignOptions(fleet_options), MakeTargetFleet(s));
+  ASSERT_EQ(runner.engine().SeedFromTable(source_table), source_table.entries.size());
+  OptimizePolicy policy(fleet_options, {latency});
+  runner.Run({&policy});
+  const OptimizeResult& seeded = policy.result();
 
-    CampaignRunner wrapped_runner(s.target_task, campaign);
-    DebugPolicy inner(options, fault->config, goals);
-    TransferPolicy transfer(TransferOptions{}, MeasurementTable{}, &inner);
-    wrapped_runner.Run({&transfer});
-
-    EXPECT_EQ(transfer.stats().source_rows, 0u);
-    EXPECT_EQ(inner.result().fixed_config, plain.result().fixed_config);
-    EXPECT_EQ(inner.result().measurements_used, plain.result().measurements_used);
-    EXPECT_TRUE(inner.result().final_graph == plain.result().final_graph);
-  }
+  ASSERT_FALSE(legacy.best_config.empty());
+  EXPECT_EQ(seeded.best_config, legacy.best_config);
+  EXPECT_EQ(seeded.best_value, legacy.best_value);
+  EXPECT_EQ(seeded.best_trajectory, legacy.best_trajectory);
+  EXPECT_EQ(seeded.evaluated, legacy.evaluated);
+  EXPECT_EQ(seeded.measurements_used, legacy.measurements_used);
+  EXPECT_EQ(seeded.engine_stats.tests_requested, legacy.engine_stats.tests_requested);
+  EXPECT_EQ(seeded.engine_stats.refreshes, legacy.engine_stats.refreshes);
+  EXPECT_EQ(seeded.source_rows, source_table.entries.size());
+  EXPECT_EQ(legacy.source_rows, source_table.entries.size());
+  EXPECT_EQ(seeded.target_rows, legacy.target_rows);
+  EXPECT_EQ(runner.broker().stats().requests, legacy.broker_stats.requests);
+  ExpectTargetOnlyFleet(runner.broker().fleet_stats());
   std::remove(path.c_str());
 }
 
