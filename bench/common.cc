@@ -1,5 +1,7 @@
 #include "bench/common.h"
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -15,6 +17,61 @@ namespace bench {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+#ifndef UNICORN_BENCH_BUILD_TYPE
+#define UNICORN_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef UNICORN_BENCH_COMPILER
+#define UNICORN_BENCH_COMPILER "unknown"
+#endif
+
+std::string JsonString(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+    }
+    out += static_cast<unsigned char>(c) < 0x20 ? ' ' : c;
+  }
+  return out + "\"";
+}
+
+std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      const size_t start =
+          colon == std::string::npos ? colon : line.find_first_not_of(' ', colon + 1);
+      return start == std::string::npos ? "unknown" : line.substr(start);
+    }
+  }
+  return "unknown";
+}
+
+// The machine and build a bench number was measured on: the fields of
+// perfbench's FINGERPRINT line.
+std::string HostJson() {
+#ifdef UNICORN_NO_OBS
+  const bool no_obs = true;
+#else
+  const bool no_obs = false;
+#endif
+#ifdef UNICORN_NO_SIMD
+  const bool no_simd = true;
+#else
+  const bool no_simd = false;
+#endif
+  std::ostringstream out;
+  out << "{\"nproc\": " << sysconf(_SC_NPROCESSORS_ONLN)
+      << ", \"cpu_model\": " << JsonString(CpuModel())
+      << ", \"compiler\": " << JsonString(UNICORN_BENCH_COMPILER)
+      << ", \"build_type\": " << JsonString(UNICORN_BENCH_BUILD_TYPE)
+      << ", \"UNICORN_NO_OBS\": " << (no_obs ? "true" : "false")
+      << ", \"UNICORN_NO_SIMD\": " << (no_simd ? "true" : "false") << "}";
+  return out.str();
+}
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -214,7 +271,8 @@ std::string JsonResults::Serialize(const std::string& bench_name) const {
     std::snprintf(buffer, sizeof(buffer), "%.17g", v);
     return std::string(buffer);
   };
-  out << "{\"bench\": \"" << bench_name << "\", \"sections\": {";
+  out << "{\"bench\": \"" << bench_name << "\", \"host\": " << HostJson()
+      << ", \"sections\": {";
   for (size_t s = 0; s < sections_.size(); ++s) {
     out << (s > 0 ? ", " : "") << "\"" << sections_[s].name << "\": {";
     for (size_t m = 0; m < sections_[s].metrics.size(); ++m) {

@@ -76,8 +76,13 @@ std::string SystemLabel(SystemId id);
 // writes a BENCH_*.json next to the human tables, so successive runs can be
 // diffed by tooling instead of by eye). Metrics accumulate as
 // (section, name, value) and serialize as one nested JSON object:
-//   {"bench": "<name>", "sections": {"<section>": {"<name>": value, ...}}}
-// Sections and names keep insertion order. No external JSON dependency.
+//   {"bench": "<name>", "host": {...},
+//    "sections": {"<section>": {"<name>": value, ...}}}
+// "host" names the machine and build the numbers come from, with the fields
+// of perfbench's FINGERPRINT line (nproc, cpu_model, compiler, build_type,
+// UNICORN_NO_OBS, UNICORN_NO_SIMD), so a recorded baseline says where it was
+// recorded. Sections and names keep insertion order. No external JSON
+// dependency.
 class JsonResults {
  public:
   void Add(const std::string& section, const std::string& name, double value);

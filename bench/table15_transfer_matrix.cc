@@ -6,7 +6,8 @@
 // measurement plane, persist the table, then debug every fault on a fleet
 // of live target devices only, seeding the engine with the recording in the
 // Reuse and +25 variants — zero fresh source-hardware measurements in every
-// variant.
+// variant. Exits 1 when a recording cannot be saved or loaded, or when a
+// cell breaks the transfer accounting (see RunScenario).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -39,8 +40,14 @@ struct TransferSpec {
   const char* objective_name;
 };
 
-void RunScenario(const TransferSpec& ts, TextTable* table) {
+// Returns false when a recording could not be persisted or loaded, or when
+// a cell broke the transfer invariant: source-hardware rows only ever come
+// from the recording, so Reuse and +25 hold the whole recording as source
+// rows, Rerun none; no request failed; and every fleet member is a target
+// device, so no request could have measured source hardware.
+bool RunScenario(const TransferSpec& ts, TextTable* table) {
   const std::string table_path = "bench_table15_source_table.csv";
+  bool all_ok = true;
   const SystemId systems[] = {SystemId::kXception, SystemId::kBert, SystemId::kDeepspeech,
                               SystemId::kX264};
   for (SystemId id : systems) {
@@ -71,15 +78,17 @@ void RunScenario(const TransferSpec& ts, TextTable* table) {
       recorder.MeasureBatch(src_configs,
                             std::vector<std::string>(src_configs.size(), ts.source.name));
       if (!recorder.SaveCache(table_path)) {
-        std::printf("WARNING: %s/%s skipped — could not persist the source recording\n",
+        std::printf("FAILED: %s/%s skipped — could not persist the source recording\n",
                     ts.label, bench::SystemLabel(id).c_str());
+        all_ok = false;
         continue;
       }
     }
     MeasurementTable source_table;
     if (!LoadMeasurementTable(table_path, &source_table)) {
-      std::printf("WARNING: %s/%s skipped — could not load the source recording\n",
+      std::printf("FAILED: %s/%s skipped — could not load the source recording\n",
                   ts.label, bench::SystemLabel(id).c_str());
+      all_ok = false;
       continue;
     }
 
@@ -107,6 +116,7 @@ void RunScenario(const TransferSpec& ts, TextTable* table) {
       double gain = 0.0;
       double src_rows = 0.0;
       double tgt_rows = 0.0;
+      bool transfer_ok = true;
       for (size_t f = 0; f < faults.size(); ++f) {
         const auto& fault = faults[f];
         const uint64_t task_seed = 170 + f;
@@ -143,15 +153,31 @@ void RunScenario(const TransferSpec& ts, TextTable* table) {
         gain += Gain(fault.measurement[obj], result.fixed_measurement[obj]);
         src_rows += static_cast<double>(result.source_rows);
         tgt_rows += static_cast<double>(result.target_rows);
+
+        const FleetStats fleet_stats = runner.broker().fleet_stats();
+        const size_t expected = scenario.transfer ? source_table.entries.size() : 0;
+        transfer_ok = transfer_ok && result.source_rows == expected && fleet_stats.failed == 0;
+        for (const auto& backend : fleet_stats.backends) {
+          transfer_ok = transfer_ok && backend.environment == ts.target.name;
+        }
       }
       const double n = static_cast<double>(faults.size());
       table->AddRow({ts.label, bench::SystemLabel(id), scenario.name,
                      FormatDouble(100 * accuracy / n, 0), FormatDouble(100 * recall / n, 0),
                      FormatDouble(100 * precision / n, 0), FormatDouble(gain / n, 0),
                      FormatDouble(src_rows / n, 0), FormatDouble(tgt_rows / n, 0)});
+      if (!transfer_ok) {
+        all_ok = false;
+        std::printf("FAILED: %s/%s/%s — transfer accounting broken (expected the whole\n"
+                    " recording as source rows in Reuse and +25 and none in Rerun, no failed\n"
+                    " request, and only %s devices in the fleet)\n",
+                    ts.label, bench::SystemLabel(id).c_str(), scenario.name,
+                    ts.target.name.c_str());
+      }
     }
   }
   std::remove(table_path.c_str());
+  return all_ok;
 }
 
 }  // namespace
@@ -163,20 +189,20 @@ int main(int argc, char** argv) {
   using unicorn::bench::FaultKind;
   unicorn::TextTable table({"scenario", "system", "variant", "accuracy", "recall", "precision",
                             "gain%", "src rows", "tgt rows"});
-  unicorn::RunScenario({"TX1->TX2 latency", unicorn::Tx1(), unicorn::Tx2(),
-                        FaultKind::kLatency, unicorn::kLatencyName},
-                       &table);
-  unicorn::RunScenario({"TX2->Xavier energy", unicorn::Tx2(), unicorn::Xavier(),
-                        FaultKind::kEnergy, unicorn::kEnergyName},
-                       &table);
-  unicorn::RunScenario({"Xavier->TX1 heat", unicorn::Xavier(), unicorn::Tx1(),
-                        FaultKind::kHeat, unicorn::kHeatName},
-                       &table);
+  bool all_ok = unicorn::RunScenario({"TX1->TX2 latency", unicorn::Tx1(), unicorn::Tx2(),
+                                      FaultKind::kLatency, unicorn::kLatencyName},
+                                     &table);
+  all_ok &= unicorn::RunScenario({"TX2->Xavier energy", unicorn::Tx2(), unicorn::Xavier(),
+                                  FaultKind::kEnergy, unicorn::kEnergyName},
+                                 &table);
+  all_ok &= unicorn::RunScenario({"Xavier->TX1 heat", unicorn::Xavier(), unicorn::Tx1(),
+                                  FaultKind::kHeat, unicorn::kHeatName},
+                                 &table);
   std::printf("\n=== Table 15: cross-hardware transfer matrix (fleet campaigns) ===\n%s",
               table.Render().c_str());
   std::printf("(every cell ran on a fleet of 2 live target devices; Reuse and +25\n"
               " seeded the engine with the source recording. src/tgt rows = engine\n"
               " provenance split. Expected shape: +25 close to Rerun; Reuse degrades\n"
               " but stays useful)\n");
-  return 0;
+  return all_ok ? 0 : 1;
 }

@@ -40,6 +40,7 @@ StatsFields Fields(const EngineStats& stats) {
       {"pairs_reused", D(stats.pairs_reused)},
       {"refresh_seconds", stats.refresh_seconds},
       {"refreshes", D(stats.refreshes)},
+      {"adopted_refreshes", D(stats.adopted_refreshes)},
       {"total_tests_requested", D(stats.total_tests_requested)},
       {"total_tests_evaluated", D(stats.total_tests_evaluated)},
       {"total_cache_hits", D(stats.total_cache_hits)},

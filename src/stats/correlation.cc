@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "stats/simd.h"
+#include "util/thread_pool.h"
 
 namespace unicorn {
 
@@ -124,41 +125,101 @@ double StreamingMoments::Pearson(size_t a, size_t b) const {
   return std::max(-1.0, std::min(1.0, r));
 }
 
-void StreamingMoments::PearsonUpperTri(std::vector<double>* out) const {
-  out->resize(num_vars_ * (num_vars_ + 1) / 2);
-  if (n_ < 2) {
-    std::fill(out->begin(), out->end(), 0.0);
-    for (size_t a = 0, tri = 0; a < num_vars_; tri += num_vars_ - a, ++a) {
-      (*out)[tri] = 1.0;
-    }
+void StreamingMoments::PearsonUpperTri(const std::vector<double>& previous,
+                                       std::vector<double>* out, std::vector<double>* drift,
+                                       ThreadPool* pool) const {
+  const size_t total = num_vars_ * (num_vars_ + 1) / 2;
+  out->resize(total);
+  drift->assign(num_vars_, 0.0);
+  const size_t ranges =
+      pool == nullptr ? 1 : std::min(num_vars_, static_cast<size_t>(pool->num_workers()) + 1);
+  if (ranges <= 1) {
+    PearsonRows(0, num_vars_, previous, out, drift->data());
     return;
   }
-  // Hoist the O(V) quantities; each is the same double Pearson(a, b) derives
-  // per call, so the per-pair expressions below match it bit for bit.
-  std::vector<double> mean(num_vars_);
-  std::vector<double> var(num_vars_);
-  for (size_t v = 0; v < num_vars_; ++v) {
-    mean[v] = sum_[v] / static_cast<double>(n_);
-    var[v] = Variance(v);
+  // Row a holds num_vars_ - a entries; cut where the running area crosses
+  // each range's share.
+  std::vector<size_t> bounds(ranges + 1, num_vars_);
+  bounds[0] = 0;
+  size_t area = 0;
+  for (size_t a = 0, r = 1; a < num_vars_ && r < ranges; ++a) {
+    area += num_vars_ - a;
+    if (area * ranges >= r * total) {
+      bounds[r++] = a + 1;
+    }
   }
-  size_t tri = 0;
-  for (size_t a = 0; a < num_vars_; ++a) {
-    const double ma = mean[a];
-    const double va = var[a];
-    const double* cross = &cross_[TriIndex(a, a)];
+  // Range 0 folds into `drift` itself; the others into their own slices.
+  std::vector<double> partial((ranges - 1) * num_vars_, 0.0);
+  pool->ParallelFor(ranges, [&](size_t i) {
+    double* range_drift = i == 0 ? drift->data() : &partial[(i - 1) * num_vars_];
+    PearsonRows(bounds[i], bounds[i + 1], previous, out, range_drift);
+  });
+  for (size_t i = 1; i < ranges; ++i) {
+    const double* range_drift = &partial[(i - 1) * num_vars_];
+    for (size_t v = 0; v < num_vars_; ++v) {
+      if (range_drift[v] > (*drift)[v]) {
+        (*drift)[v] = range_drift[v];
+      }
+    }
+  }
+}
+
+void StreamingMoments::PearsonRows(size_t a_begin, size_t a_end,
+                                   const std::vector<double>& previous, std::vector<double>* out,
+                                   double* drift) const {
+  if (a_begin >= a_end) {
+    return;
+  }
+  // Hoist the O(V) quantities of the columns this range reads; each is the
+  // same double Pearson(a, b) derives per call, so the per-pair expressions
+  // below match it bit for bit. mean[k] and var[k] belong to a_begin + k.
+  std::vector<double> mean(num_vars_ - a_begin);
+  std::vector<double> var(num_vars_ - a_begin);
+  if (n_ >= 2) {
+    for (size_t v = a_begin; v < num_vars_; ++v) {
+      mean[v - a_begin] = sum_[v] / static_cast<double>(n_);
+      var[v - a_begin] = Variance(v);
+    }
+  }
+  for (size_t a = a_begin; a < a_end; ++a) {
+    // Row a: entry k is the pair (a, a + k).
+    const size_t tri = TriIndex(a, a);
+    const size_t len = num_vars_ - a;
     double* row = out->data() + tri;
     row[0] = 1.0;
-    UNICORN_SIMD_LOOP
-    for (size_t b = a + 1; b < num_vars_; ++b) {
-      const double cov = cross[b - a] / static_cast<double>(n_) - ma * mean[b];
-      const double vb = var[b];
-      double r = 0.0;
-      if (va > 1e-15 && vb > 1e-15) {
-        r = std::max(-1.0, std::min(1.0, cov / std::sqrt(va * vb)));
+    if (n_ < 2) {
+      std::fill(row + 1, row + len, 0.0);
+    } else {
+      const double ma = mean[a - a_begin];
+      const double va = var[a - a_begin];
+      const double* mb = &mean[a - a_begin];
+      const double* vb = &var[a - a_begin];
+      const double* cross = &cross_[tri];
+      UNICORN_SIMD_LOOP
+      for (size_t k = 1; k < len; ++k) {
+        const double cov = cross[k] / static_cast<double>(n_) - ma * mb[k];
+        double r = 0.0;
+        if (va > 1e-15 && vb[k] > 1e-15) {
+          r = std::max(-1.0, std::min(1.0, cov / std::sqrt(va * vb[k])));
+        }
+        row[k] = r;
       }
-      row[b - a] = r;
     }
-    tri += num_vars_ - a;
+    if (!previous.empty()) {
+      const double* prev = previous.data() + tri;
+      double* drift_b = drift + a;
+      double drift_a = drift[a];
+      for (size_t k = 1; k < len; ++k) {
+        const double d = std::fabs(row[k] - prev[k]);
+        if (d > drift_a) {
+          drift_a = d;
+        }
+        if (d > drift_b[k]) {
+          drift_b[k] = d;
+        }
+      }
+      drift[a] = drift_a;
+    }
   }
 }
 

@@ -9,6 +9,8 @@
 
 namespace unicorn {
 
+class ThreadPool;
+
 // Pearson linear correlation; 0 for degenerate input.
 double PearsonCorrelation(const std::vector<double>& a, const std::vector<double>& b);
 
@@ -46,14 +48,32 @@ class StreamingMoments {
   // degenerate or fewer than two rows.
   double Pearson(size_t a, size_t b) const;
 
-  // All pairwise correlations in one batched sweep, flattened over the upper
-  // triangle including the diagonal (same layout as the engine's correlation
-  // snapshot: index advances b within a). Diagonal entries are 1.0; with
-  // fewer than two rows every off-diagonal entry is 0.0. Means and
-  // variances are hoisted out of the pair loop but every per-pair expression
-  // is the one Pearson(a, b) evaluates, so each entry is bit-identical to a
-  // per-pair call.
-  void PearsonUpperTri(std::vector<double>* out) const;
+  // The engine's staleness scan: all pairwise correlations in one sweep,
+  // flattened over the upper triangle including the diagonal (index
+  // advances b within a) into `out`, which is resized, so a buffer reused
+  // across scans is allocated once. Diagonal entries are 1.0; with fewer
+  // than two rows every off-diagonal entry is 0.0. Means and variances are
+  // hoisted out of the pair loop but every per-pair expression is the one
+  // Pearson(a, b) evaluates, so each entry is bit-identical to a per-pair
+  // call.
+  //
+  // `drift` gets one entry per variable: with a non-empty `previous` (an
+  // earlier scan, same layout) the largest |out - previous| over the pairs
+  // involving the variable, otherwise 0.
+  //
+  // `pool` sweeps contiguous row ranges of about equal area on the caller
+  // plus every worker (serially when null). Each range keeps its own drift
+  // maxima and the ranges merge with max, which is exact, so `out` and
+  // `drift` are bit-identical for every pool width.
+  void PearsonUpperTri(const std::vector<double>& previous, std::vector<double>* out,
+                       std::vector<double>* drift, ThreadPool* pool) const;
+
+  // One range of that sweep: rows [a_begin, a_end) of the triangle, written
+  // at their offsets into `out` (already sized to the whole triangle), and
+  // their pairs' |out - previous| folded into drift[v] by max (drift holds
+  // NumVars() entries; untouched when `previous` is empty).
+  void PearsonRows(size_t a_begin, size_t a_end, const std::vector<double>& previous,
+                   std::vector<double>* out, double* drift) const;
 
  private:
   size_t TriIndex(size_t a, size_t b) const;  // upper triangle incl. diagonal

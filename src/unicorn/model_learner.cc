@@ -1,5 +1,6 @@
 #include "unicorn/model_learner.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 
@@ -156,52 +157,6 @@ void CausalModelEngine::SyncAppendedRows() {
   test_rows_ = data_.NumRows();
 }
 
-size_t CausalModelEngine::ComputeDirtyPairs(std::vector<char>* dirty,
-                                            const std::vector<double>& current) const {
-  const size_t n = data_.NumVars();
-  dirty->assign(n * n, 0);
-  // Per-variable staleness: the largest move of any streaming Pearson
-  // correlation involving the variable since the last refresh. The streaming
-  // raw-value correlations are a cheap O(1)-per-pair proxy for the rank
-  // correlations and contingency tables the CI tests actually use; the
-  // batched scan in `current` carries bit-identical values to per-pair
-  // Pearson calls.
-  std::vector<double> delta(n, 0.0);
-  size_t tri = 0;
-  for (size_t a = 0; a < n; ++a) {
-    for (size_t b = a; b < n; ++b, ++tri) {
-      if (a == b) {
-        continue;
-      }
-      const double d = std::fabs(current[tri] - corr_snapshot_[tri]);
-      if (d > delta[a]) {
-        delta[a] = d;
-      }
-      if (d > delta[b]) {
-        delta[b] = d;
-      }
-    }
-  }
-  // Correlation shifts below the sampling noise of the estimate are not
-  // evidence of change; the floor keeps early refreshes (small n, noisy
-  // correlations) from re-testing everything.
-  const double noise_floor =
-      data_.NumRows() > 0 ? kNoiseFloorScale / std::sqrt(static_cast<double>(data_.NumRows()))
-                          : 0.0;
-  const double threshold = std::max(engine_options_.stale_epsilon, noise_floor);
-  size_t clean = 0;
-  for (size_t a = 0; a < n; ++a) {
-    for (size_t b = a + 1; b < n; ++b) {
-      if (delta[a] > threshold || delta[b] > threshold) {
-        (*dirty)[a * n + b] = 1;
-      } else {
-        ++clean;
-      }
-    }
-  }
-  return clean;
-}
-
 const LearnedModel& CausalModelEngine::Refresh() {
   return Refresh(model_options_.seed + static_cast<uint64_t>(stats_.refreshes));
 }
@@ -213,81 +168,131 @@ const LearnedModel& CausalModelEngine::Refresh(uint64_t seed) {
   const size_t n = data_.NumVars();
   refresh_span.SetArg("rows", static_cast<double>(data_.NumRows()));
 
-  const bool warm = has_model_ && engine_options_.stale_epsilon > 0.0 &&
+  const bool warm_starts = engine_options_.stale_epsilon > 0.0;
+  const bool warm = has_model_ && warm_starts &&
                     (engine_options_.full_refresh_every == 0 ||
                      stats_.refreshes % engine_options_.full_refresh_every != 0);
 
-  // One batched correlation scan serves both the dirty-pair detection and
-  // the end-of-refresh snapshot: the data cannot change mid-refresh, so the
-  // correlations computed here are exactly the ones the old per-pair
-  // snapshot would have recomputed afterwards.
-  std::vector<double> correlations;
+  // One correlation scan per refresh serves both the staleness check and the
+  // next snapshot: the data cannot change mid-refresh. Without warm starts
+  // no snapshot is ever read, so none is taken.
+  bool adopt = false;
   std::vector<char> dirty;
   SkeletonWarmStart warm_start;
   EdgeDecisionMap entropic_reuse;
   size_t reused = 0;
-  {
+  if (warm_starts) {
     TRACE_SPAN("engine.warm_start", "engine");
-    moments_.PearsonUpperTri(&correlations);
+    // A cold refresh compares against nothing: an empty snapshot.
+    const std::vector<double> none;
+    std::vector<double> drift;
+    moments_.PearsonUpperTri(warm ? corr_snapshot_ : none, &corr_scan_, &drift, pool_.get());
     if (warm) {
-      reused = ComputeDirtyPairs(&dirty, correlations);
-      warm_start.graph = &model_.admg;
-      warm_start.sepsets = &sepsets_;
-      warm_start.pair_dirty = &dirty;
-      for (const auto& [pair, decision] : entropic_decisions_) {
-        if (dirty[pair.first * n + pair.second] == 0) {
-          entropic_reuse.emplace(pair, decision);
+      // A variable is stale when one of its streaming correlations moved past
+      // the threshold since the last refresh. The streaming raw-value
+      // correlations are a cheap O(1)-per-pair proxy for the rank
+      // correlations and contingency tables the CI tests actually use.
+      // Correlation shifts below the sampling noise of the estimate are not
+      // evidence of change; the floor keeps early refreshes (small n, noisy
+      // correlations) from re-testing everything.
+      const double noise_floor =
+          data_.NumRows() > 0
+              ? kNoiseFloorScale / std::sqrt(static_cast<double>(data_.NumRows()))
+              : 0.0;
+      const double threshold = std::max(engine_options_.stale_epsilon, noise_floor);
+      std::vector<char> stale(n, 0);
+      size_t fresh = 0;
+      for (size_t v = 0; v < n; ++v) {
+        stale[v] = drift[v] > threshold ? 1 : 0;
+        fresh += stale[v] == 0 ? 1 : 0;
+      }
+      reused = fresh * (fresh - 1) / 2;  // pairs with no stale endpoint
+      adopt = fresh == n;
+      if (!adopt) {
+        dirty.assign(n * n, 0);
+        for (size_t a = 0; a < n; ++a) {
+          for (size_t b = a + 1; b < n; ++b) {
+            dirty[a * n + b] = static_cast<char>(stale[a] | stale[b]);
+          }
+        }
+        warm_start.graph = &model_.admg;
+        warm_start.sepsets = &sepsets_;
+        warm_start.pair_dirty = &dirty;
+        for (const auto& [pair, decision] : entropic_decisions_) {
+          if (dirty[pair.first * n + pair.second] == 0) {
+            entropic_reuse.emplace(pair, decision);
+          }
         }
       }
     }
   }
 
-  // Bring the CI tests up to date with the appended rows (streaming /
-  // lazy: ranks are recomputed, codes and strata re-derive on demand).
-  {
-    TRACE_SPAN("engine.sync_rows", "engine");
-    if (test_ == nullptr) {
-      test_ = std::make_unique<CompositeTest>(data_, /*max_bins=*/5, pool_.get());
-      test_rows_ = data_.NumRows();
-    } else {
-      SyncAppendedRows();
+  long long requested = 0;
+  long long evaluated = 0;
+  long long hits = 0;
+  long long cross_shard_hits = 0;
+  if (adopt) {
+    // Nothing is stale, so the full path would adopt the adjacency and every
+    // separating set, orient them to the same PAG and reuse every entropic
+    // decision: the model stays as it is. The CI tests skip the row sync; the
+    // next refresh that tests extends them over every row appended since.
+    model_.independence_tests = 0;
+    ++stats_.adopted_refreshes;
+  } else {
+    // Bring the CI tests up to date with the appended rows (streaming /
+    // lazy: ranks are recomputed, codes and strata re-derive on demand).
+    {
+      TRACE_SPAN("engine.sync_rows", "engine");
+      if (test_ == nullptr) {
+        test_ = std::make_unique<CompositeTest>(data_, /*max_bins=*/5, pool_.get());
+        test_rows_ = data_.NumRows();
+      } else {
+        SyncAppendedRows();
+      }
     }
+
+    const long long evaluated_before = test_->calls.Value();
+
+    // Without an attached shared cache the engine evaluates every test: a
+    // pair asks each (x, y | S) once per refresh, and keys embed the row
+    // count, so a private cache could only serve possible-d-sep's re-asks.
+    CachedCITest cached(*test_, engine_options_.use_ci_cache ? shared_cache_ : nullptr,
+                        data_.NumRows(), data_fingerprint_, shard_id_);
+    obs::trace::Begin("engine.fci", "engine");
+    FciResult fci =
+        RunFci(cached, constraints_, n, model_options_.fci, warm_start, pool_.get());
+    obs::trace::End("tests", static_cast<double>(fci.tests_performed));
+
+    model_.independence_tests = fci.tests_performed;
+    model_.circle_marks_resolved = fci.pag.NumCircleMarks();
+
+    Rng rng(seed);
+    EdgeDecisionMap decisions;
+    {
+      TRACE_SPAN("engine.entropic", "engine");
+      ResolveWithEntropy(data_, constraints_, model_options_.entropic, &rng, &fci.pag,
+                         warm ? &entropic_reuse : nullptr, &decisions, pool_.get());
+    }
+
+    model_.admg = std::move(fci.pag);
+    sepsets_ = std::move(fci.sepsets);
+    entropic_decisions_ = std::move(decisions);
+    requested = cached.calls.Value();
+    evaluated = test_->calls.Value() - evaluated_before;
+    hits = cached.hits();
+    cross_shard_hits = cached.cross_shard_hits();
   }
-
-  const long long evaluated_before = test_->calls.Value();
-
-  // Without an attached shared cache the engine evaluates every test: a
-  // pair asks each (x, y | S) once per refresh, and keys embed the row
-  // count, so a private cache could only serve possible-d-sep's re-asks.
-  CachedCITest cached(*test_, engine_options_.use_ci_cache ? shared_cache_ : nullptr,
-                      data_.NumRows(), data_fingerprint_, shard_id_);
-  obs::trace::Begin("engine.fci", "engine");
-  FciResult fci = RunFci(cached, constraints_, n, model_options_.fci, warm_start, pool_.get());
-  obs::trace::End("tests", static_cast<double>(fci.tests_performed));
-
-  model_.independence_tests = fci.tests_performed;
-  model_.circle_marks_resolved = fci.pag.NumCircleMarks();
-
-  Rng rng(seed);
-  EdgeDecisionMap decisions;
-  {
-    TRACE_SPAN("engine.entropic", "engine");
-    ResolveWithEntropy(data_, constraints_, model_options_.entropic, &rng, &fci.pag,
-                       warm ? &entropic_reuse : nullptr, &decisions, pool_.get());
+  if (warm_starts) {
+    corr_snapshot_.swap(corr_scan_);
   }
-
-  model_.admg = std::move(fci.pag);
-  sepsets_ = std::move(fci.sepsets);
-  entropic_decisions_ = std::move(decisions);
-  corr_snapshot_ = std::move(correlations);
   estimator_.reset();
   has_model_ = true;
 
   stats_.warm = warm;
-  stats_.tests_requested = cached.calls.Value();
-  stats_.tests_evaluated = test_->calls.Value() - evaluated_before;
-  stats_.cache_hits = cached.hits();
-  stats_.cross_shard_hits = cached.cross_shard_hits();
+  stats_.tests_requested = requested;
+  stats_.tests_evaluated = evaluated;
+  stats_.cache_hits = hits;
+  stats_.cross_shard_hits = cross_shard_hits;
   stats_.pairs_reused = reused;
   stats_.refresh_seconds = std::chrono::duration<double>(Clock::now() - start).count();
   ++stats_.refreshes;
@@ -303,6 +308,7 @@ const LearnedModel& CausalModelEngine::Refresh(uint64_t seed) {
   Metrics().cross_shard_hits->Add(static_cast<uint64_t>(stats_.cross_shard_hits));
   Metrics().refresh_seconds->Record(stats_.refresh_seconds);
   refresh_span.SetArg("warm", warm ? 1.0 : 0.0);
+  refresh_span.SetArg("adopted", adopt ? 1.0 : 0.0);
   return model_;
 }
 

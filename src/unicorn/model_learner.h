@@ -61,6 +61,12 @@ struct EngineOptions {
   // starts enabled the effective threshold is max(stale_epsilon,
   // 1 / sqrt(n_rows)): a correlation estimate's sampling noise is
   // ~1/sqrt(n), and shifts within it never mark a pair dirty.
+  // A warm refresh that finds no stale variable keeps its model as it is
+  // (counted in EngineStats::adopted_refreshes). That is exactly what the
+  // full path would return: every pair is clean, so the skeleton adopts the
+  // adjacency and every separating set verbatim, FCI's orientation is a
+  // function of those two, and the entropic pass reuses every decision
+  // without drawing from its Rng.
   double stale_epsilon = 0.0;
   // With warm starts enabled, every k-th refresh is still a full relearn so
   // approximation error cannot accumulate across iterations.
@@ -99,6 +105,7 @@ struct EngineStats {
   double refresh_seconds = 0.0;
   // Cumulative over the engine's lifetime.
   size_t refreshes = 0;
+  size_t adopted_refreshes = 0;      // warm, nothing stale: model kept as is
   long long total_tests_requested = 0;
   long long total_tests_evaluated = 0;
   long long total_cache_hits = 0;
@@ -190,18 +197,13 @@ class CausalModelEngine {
 
  private:
   // Brings the CI test state up to date with every row appended since the
-  // last refresh through the O(appended) incremental paths — G² codes
-  // extend in place (full recode only where extension cannot reproduce the
-  // from-scratch coding bit-identically), Fisher-Z ranks refresh.
-  // Bit-identical to a from-scratch build by the kernel equivalence
-  // contract (stats/independence.h Update). No-op when already current.
+  // last refresh that tested through the O(appended) incremental paths — G²
+  // codes extend in place (full recode only where extension cannot
+  // reproduce the from-scratch coding bit-identically), Fisher-Z ranks
+  // refresh. Bit-identical to a from-scratch build for any number of
+  // appended rows by the kernel equivalence contract (stats/independence.h
+  // Update). No-op when already current.
   void SyncAppendedRows();
-  // Marks pairs whose endpoints' streaming correlation profile moved more
-  // than stale_epsilon since the last refresh, comparing the batched
-  // correlation scan `current` (PearsonUpperTri layout) against the last
-  // snapshot. Returns the clean-pair count.
-  size_t ComputeDirtyPairs(std::vector<char>* dirty,
-                           const std::vector<double>& current) const;
 
   CausalModelOptions model_options_;
   EngineOptions engine_options_;
@@ -222,7 +224,10 @@ class CausalModelEngine {
   bool has_model_ = false;
   SepsetMap sepsets_;                    // last refresh's separating sets
   EdgeDecisionMap entropic_decisions_;   // last refresh's edge orientations
-  std::vector<double> corr_snapshot_;    // streaming Pearson at last refresh
+  // Streaming Pearson at the last refresh, and the staleness scan's output
+  // buffer; the two swap after each scan (taken only with warm starts on).
+  std::vector<double> corr_snapshot_;
+  std::vector<double> corr_scan_;
   std::unique_ptr<CausalEffectEstimator> estimator_;
   EngineStats stats_;
 };

@@ -253,6 +253,168 @@ TEST(EngineTest, WarmRefreshShrinksTestsAndAnchorsRestoreExactness) {
   EXPECT_TRUE(GraphsIdentical(engine.model().admg, scratch.admg));
 }
 
+// A warm refresh that finds no stale variable keeps its model: it asks no
+// CI test, and its ADMG is the previous one bit for bit. It still rebuilds
+// the estimator on the grown table, and the next anchor, which sees no new
+// row of its own, relearns exactly: the row sync the kept refreshes skipped
+// catches up there.
+TEST(EngineTest, NothingStaleKeepsTheModelAndTheNextAnchorIsExact) {
+  const DataTable all = MeasuredData(SystemId::kX264, 170, 31);
+  const CausalModelOptions model_options = SmallModelOptions();
+  EngineOptions incremental;
+  incremental.stale_epsilon = 2.0;  // a correlation moves by at most 2: never stale
+  incremental.full_refresh_every = 4;
+  CausalModelEngine engine(all.Variables(), model_options, incremental);
+  const size_t objective = all.NumVars() - 1;
+
+  size_t next = 0;
+  const auto append = [&](size_t rows) {
+    for (size_t end = next + rows; next < end; ++next) {
+      engine.AddRow(all.Row(next));
+    }
+  };
+  append(110);
+  engine.Refresh(5);  // refresh 0: the anchor
+  EXPECT_FALSE(engine.stats().warm);
+  EXPECT_EQ(engine.stats().adopted_refreshes, 0u);
+  const MixedGraph anchored = engine.model().admg;
+  const double anchored_effect = engine.Estimator().ExpectationDo(objective, 0, 0);
+
+  for (size_t k = 1; k < incremental.full_refresh_every; ++k) {
+    SCOPED_TRACE(k);
+    append(20);
+    engine.Refresh(5 + k);
+    EXPECT_TRUE(engine.stats().warm);
+    EXPECT_EQ(engine.stats().adopted_refreshes, k);
+    EXPECT_EQ(engine.stats().tests_requested, 0);
+    EXPECT_EQ(engine.stats().tests_evaluated, 0);
+    EXPECT_EQ(engine.stats().pairs_reused, engine.stats().pairs_total);
+    EXPECT_EQ(engine.model().independence_tests, 0);
+    EXPECT_TRUE(GraphsIdentical(engine.model().admg, anchored));
+    const CausalEffectEstimator grown(engine.model().admg, engine.data());
+    EXPECT_EQ(engine.Estimator().ExpectationDo(objective, 0, 0),
+              grown.ExpectationDo(objective, 0, 0));
+    EXPECT_NE(engine.Estimator().ExpectationDo(objective, 0, 0), anchored_effect);
+  }
+
+  ASSERT_EQ(next, all.NumRows());
+  engine.Refresh(42);  // refresh 4: the next anchor
+  EXPECT_FALSE(engine.stats().warm);
+  EXPECT_EQ(engine.stats().adopted_refreshes, incremental.full_refresh_every - 1);
+  CausalModelOptions scratch_options = model_options;
+  scratch_options.seed = 42;
+  const LearnedModel scratch = LearnCausalPerformanceModel(engine.data(), scratch_options);
+  EXPECT_TRUE(GraphsIdentical(engine.model().admg, scratch.admg));
+  EXPECT_EQ(engine.model().independence_tests, scratch.independence_tests);
+  EXPECT_EQ(engine.stats().tests_evaluated, scratch.independence_tests);
+}
+
+// Staleness is measured against the last refresh, kept or not, and per
+// pair: a pair whose correlation moves marks both its endpoints, so a warm
+// refresh flags no variable or at least two. Two small drifts that together
+// pass the threshold keep the model twice; decorrelating e2 from everything
+// then flags exactly e2 and its one partner e3, and the refresh re-tests
+// their pairs instead of keeping the model.
+TEST(EngineTest, WarmRefreshKeepsItsModelOnlyWhileNothingIsStale) {
+  const std::vector<Variable> vars = {
+      {"o0", VarType::kContinuous, VarRole::kOption, {0, 1}},
+      {"e0", VarType::kContinuous, VarRole::kEvent, {}},
+      {"e1", VarType::kContinuous, VarRole::kEvent, {}},
+      {"e2", VarType::kContinuous, VarRole::kEvent, {}},
+      {"e3", VarType::kContinuous, VarRole::kEvent, {}},
+      {"y", VarType::kContinuous, VarRole::kObjective, {}},
+  };
+  Rng rng(41);
+  // e3 tracks e2 (r ~ 0.96) unless `split`, when it is independent noise.
+  const auto sample = [&](bool split) {
+    const double o0 = rng.Uniform();
+    const double e0 = 2.0 * o0 + rng.Gaussian(0, 0.2);
+    const double e1 = e0 + rng.Gaussian(0, 0.2);
+    const double e2 = rng.Gaussian();
+    const double e3 = (split ? rng.Gaussian() : e2) + rng.Gaussian(0, 0.3);
+    return std::vector<double>{o0, e0, e1, e2, e3, e1 + rng.Gaussian(0, 0.2)};
+  };
+  EngineOptions incremental;
+  incremental.stale_epsilon = 0.1;
+  CausalModelEngine engine(vars, SmallModelOptions(), incremental);
+  std::vector<std::vector<double>> anchor_rows;
+  for (int i = 0; i < 1500; ++i) {
+    anchor_rows.push_back(sample(false));
+    engine.AddRow(anchor_rows.back());
+  }
+  engine.Refresh(1);
+  const MixedGraph anchored = engine.model().admg;
+
+  // The two batches move r(e2, e3) by 0.07 and 0.08: under the threshold
+  // each time, over it (0.15) against the anchor. No other pair moves 0.03.
+  for (size_t step = 1; step <= 2; ++step) {
+    SCOPED_TRACE(step);
+    for (int i = 0; i < 120; ++i) {
+      engine.AddRow(sample(true));
+    }
+    engine.Refresh(1 + step);
+    EXPECT_TRUE(engine.stats().warm);
+    EXPECT_EQ(engine.stats().adopted_refreshes, step);
+    EXPECT_EQ(engine.stats().tests_requested, 0);
+    EXPECT_TRUE(GraphsIdentical(engine.model().admg, anchored));
+  }
+
+  // The anchor rows again with e2 shifted far off: e2 decorrelates from
+  // everything, but only its pair with e3 was ever correlated.
+  for (std::vector<double> row : anchor_rows) {
+    row[3] += 50.0;
+    engine.AddRow(row);
+  }
+  engine.Refresh(4);
+  EXPECT_TRUE(engine.stats().warm);
+  EXPECT_EQ(engine.stats().adopted_refreshes, 2u);
+  const size_t clean = vars.size() - 2;
+  EXPECT_EQ(engine.stats().pairs_reused, clean * (clean - 1) / 2);
+  EXPECT_GT(engine.stats().tests_requested, 0);
+}
+
+// Warm refreshes that keep their model and warm refreshes that re-test mix
+// in one sequence, and the staleness scan runs on the engine's threads: the
+// whole sequence is the same at one thread and at four.
+TEST(EngineTest, WarmSequenceWithKeptAndRetestedRefreshesIsThreadCountInvariant) {
+  const DataTable all = MeasuredData(SystemId::kX264, 240, 14);
+  const CausalModelOptions model_options = SmallModelOptions();
+  EngineOptions serial;
+  serial.stale_epsilon = 0.05;
+  serial.full_refresh_every = 8;
+  EngineOptions parallel = serial;
+  parallel.num_threads = 4;
+  CausalModelEngine one(all.Variables(), model_options, serial);
+  CausalModelEngine four(all.Variables(), model_options, parallel);
+
+  size_t next = 0;
+  size_t kept = 0;
+  size_t retested = 0;
+  const size_t batches[] = {100, 1, 1, 40, 1, 2, 1, 30, 1, 1, 20, 1, 1, 1, 35, 1};
+  for (const size_t rows : batches) {
+    for (size_t end = next + rows; next < end; ++next) {
+      one.AddRow(all.Row(next));
+      four.AddRow(all.Row(next));
+    }
+    const size_t kept_before = one.stats().adopted_refreshes;
+    one.Refresh(100 + next);
+    four.Refresh(100 + next);
+    SCOPED_TRACE(next);
+    EXPECT_TRUE(GraphsIdentical(one.model().admg, four.model().admg));
+    EXPECT_EQ(one.stats().warm, four.stats().warm);
+    EXPECT_EQ(one.stats().adopted_refreshes, four.stats().adopted_refreshes);
+    EXPECT_EQ(one.stats().pairs_reused, four.stats().pairs_reused);
+    EXPECT_EQ(one.stats().tests_requested, four.stats().tests_requested);
+    if (one.stats().adopted_refreshes > kept_before) {
+      ++kept;
+    } else if (one.stats().warm) {
+      ++retested;
+    }
+  }
+  EXPECT_GT(kept, 0u);
+  EXPECT_GT(retested, 0u);
+}
+
 TEST(EngineTest, CITestsSnapshotRowsUntilUpdate) {
   const DataTable all = MeasuredData(SystemId::kX264, 120, 16);
   std::vector<size_t> head;

@@ -6,6 +6,7 @@
 
 #include "stats/entropy.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace unicorn {
 namespace {
@@ -173,6 +174,75 @@ TEST(ResolveTest, AcyclicityPreserved) {
   ResolveWithEntropy(t, constraints, options, &resolver_rng, &pag);
   EXPECT_FALSE(pag.HasDirectedCycle());
   EXPECT_EQ(pag.NumCircleMarks(), 0u);
+}
+
+// The engine keeps its model on a warm refresh with nothing stale because
+// the entropic pass, handed every decision it made last time, reproduces its
+// output from those decisions alone: same ADMG, same decision map, and not
+// one draw from the Rng, whatever its seed.
+TEST(ResolveTest, FullReuseReproducesTheResultWithoutDrawing) {
+  Rng rng(13);
+  std::vector<Variable> vars = {
+      {"o0", VarType::kDiscrete, VarRole::kOption, {0, 1, 2}},
+      {"o1", VarType::kDiscrete, VarRole::kOption, {0, 1}},
+      {"e0", VarType::kContinuous, VarRole::kEvent, {}},
+      {"e1", VarType::kContinuous, VarRole::kEvent, {}},
+      {"e2", VarType::kContinuous, VarRole::kEvent, {}},
+      {"y", VarType::kContinuous, VarRole::kObjective, {}},
+  };
+  DataTable t(vars);
+  for (int i = 0; i < 500; ++i) {
+    const double o0 = static_cast<double>(rng.UniformInt(uint64_t{3}));
+    const double o1 = rng.Bernoulli(0.5) ? 1.0 : 0.0;
+    const double e0 = 1.5 * o0 + rng.Gaussian(0, 0.3);
+    const double e1 = e0 - o1 + rng.Gaussian(0, 0.3);
+    const double e2 = 0.7 * e1 + rng.Gaussian(0, 0.3);
+    t.AddRow({o0, o1, e0, e1, e2, e2 + e0 + rng.Gaussian(0, 0.1)});
+  }
+  const StructuralConstraints constraints(t.Variables());
+  MixedGraph pag(6);
+  pag.AddCircleCircle(0, 2);
+  pag.AddCircleCircle(1, 3);
+  pag.AddCircleCircle(2, 3);
+  pag.SetEdge(2, 4, Mark::kTail, Mark::kTail);  // a tail-tail leftover is decided too
+  pag.SetEdge(3, 4, Mark::kCircle, Mark::kArrow);
+  pag.AddCircleCircle(4, 5);
+  pag.AddDirected(2, 5);
+  constraints.ApplyOrientations(&pag);
+  EntropicOptions options;
+  options.latent.restarts = 1;
+  options.latent.iterations = 20;
+
+  MixedGraph first = pag;
+  EdgeDecisionMap decisions;
+  Rng first_rng(8);
+  ResolveWithEntropy(t, constraints, options, &first_rng, &first, nullptr, &decisions);
+  // The option edges are oriented by the constraints; e0-e1, the tail-tail
+  // e0-e2, e1-e2 and e2-y need a decision.
+  ASSERT_EQ(decisions.size(), 4u);
+
+  for (const bool pooled : {false, true}) {
+    SCOPED_TRACE(pooled ? "pool" : "serial");
+    ThreadPool pool(2);
+    MixedGraph second = pag;
+    EdgeDecisionMap second_decisions;
+    Rng second_rng(9001);
+    Rng untouched = second_rng;
+    ResolveWithEntropy(t, constraints, options, &second_rng, &second, &decisions,
+                       &second_decisions, pooled ? &pool : nullptr);
+    EXPECT_TRUE(second == first);
+    ASSERT_EQ(second_decisions.size(), decisions.size());
+    for (const auto& [pair, d] : decisions) {
+      const auto it = second_decisions.find(pair);
+      ASSERT_NE(it, second_decisions.end());
+      EXPECT_EQ(it->second.kind, d.kind);
+      EXPECT_EQ(it->second.latent_found, d.latent_found);
+      EXPECT_EQ(it->second.latent_entropy, d.latent_entropy);
+      EXPECT_EQ(it->second.entropy_forward, d.entropy_forward);
+      EXPECT_EQ(it->second.entropy_backward, d.entropy_backward);
+    }
+    EXPECT_EQ(second_rng.NextU64(), untouched.NextU64());  // no stream was forked
+  }
 }
 
 }  // namespace

@@ -362,28 +362,34 @@ TEST(FciTest, AllCleanWarmStartAdoptsWithoutTesting) {
   const World world = MeasuredWorld(SystemId::kX264, 200, 8);
   const StructuralConstraints constraints(world.vars);
   const CompositeTest test(world.data);
-  const FciOptions options = SmallFciOptions();
   const size_t n = world.data.NumVars();
 
-  const FciResult cold = RunFci(test, constraints, n, options);
+  for (const bool pds : {true, false}) {
+    SCOPED_TRACE(pds ? "possible-d-sep on" : "possible-d-sep off");
+    FciOptions options = SmallFciOptions();
+    options.use_possible_dsep = pds;
+    const FciResult cold = RunFci(test, constraints, n, options);
 
-  std::vector<char> all_clean(n * n, 0);
-  SkeletonWarmStart warm;
-  warm.graph = &cold.pag;
-  warm.sepsets = &cold.sepsets;
-  warm.pair_dirty = &all_clean;
-  const long long calls_before = test.calls.Value();
-  const FciResult adopted = RunFci(test, constraints, n, options, warm);
-  EXPECT_EQ(test.calls.Value(), calls_before);  // not a single CI test issued
-  EXPECT_EQ(adopted.tests_performed, 0);
-  // Adjacency and separating sets are adopted wholesale; orientation
-  // re-derives from the sepsets.
-  for (size_t a = 0; a < n; ++a) {
-    for (size_t b = a + 1; b < n; ++b) {
-      EXPECT_EQ(cold.pag.HasEdge(a, b), adopted.pag.HasEdge(a, b));
+    std::vector<char> all_clean(n * n, 0);
+    SkeletonWarmStart warm;
+    warm.graph = &cold.pag;
+    warm.sepsets = &cold.sepsets;
+    warm.pair_dirty = &all_clean;
+    const long long calls_before = test.calls.Value();
+    const FciResult adopted = RunFci(test, constraints, n, options, warm);
+    EXPECT_EQ(test.calls.Value(), calls_before);  // not a single CI test issued
+    EXPECT_EQ(adopted.tests_performed, 0);
+    // Adjacency and separating sets are adopted wholesale, and orientation
+    // is a function of the two, so the PAG is the cold run's mark for mark:
+    // the engine keeps its model on such a refresh instead of re-running FCI.
+    for (size_t a = 0; a < n; ++a) {
+      for (size_t b = a + 1; b < n; ++b) {
+        EXPECT_EQ(cold.pag.HasEdge(a, b), adopted.pag.HasEdge(a, b));
+      }
     }
+    EXPECT_TRUE(SameSepsets(cold.sepsets, adopted.sepsets, n));
+    EXPECT_TRUE(SameMarks(cold.pag, adopted.pag));
   }
-  EXPECT_TRUE(SameSepsets(cold.sepsets, adopted.sepsets, n));
 }
 
 TEST(FciTest, MixedWarmStartKeepsCleanPairsAndRetestsDirtyOnes) {
