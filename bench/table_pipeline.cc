@@ -3,16 +3,17 @@
 // >10^6-row binary-table ingest stress.
 //
 // Sections:
-//   (a) pipeline vs barrier — a mixed 16-tenant campaign (4 heavy-refresh
-//       DebugPolicys + 12 light, high-cadence OptimizePolicys, one objective
-//       group each) over 4 sleeping simulated devices. The barrier loop
-//       (pipeline=false, the pre-pipeline RunAsyncGrouped) refreshes inline
-//       on the campaign thread, so every light policy's absorb-and-resubmit
-//       stalls behind whichever heavy refresh is running and the fleet
-//       starves; the pipelined scheduler hands refreshes to the pool's
-//       workers and keeps the fleet fed. On a single-core host the refresh
-//       CPU is identical either way — the speedup is pure overlap, and the
-//       pool's ledger (overlap_seconds, widest_cross_policy_batch) shows it.
+//   (a) pipelined vs inline refreshes — a mixed 16-tenant campaign (4
+//       heavy-refresh DebugPolicys + 12 light, high-cadence
+//       OptimizePolicys, one objective group each) over 4 sleeping
+//       simulated devices. The baseline (pipeline=false) runs the same
+//       RunAsyncGrouped event loop but refreshes inline on the campaign
+//       thread, so every light policy's absorb-and-resubmit stalls behind
+//       whichever heavy refresh is running and the fleet starves; the
+//       pipelined loop hands refreshes to the pool's workers and keeps the
+//       fleet fed. On a single-core host the refresh CPU is identical
+//       either way — the speedup is pure overlap, and the pool's ledger
+//       (overlap_seconds, widest_cross_policy_batch) shows it.
 //       The bench SELF-VERIFIES bit-identity: every run's per-shard table
 //       fingerprints and per-policy results must equal the synchronous
 //       RunGrouped oracle's, and the binary exits non-zero on divergence or
@@ -167,7 +168,7 @@ Setup MakeSetup(bool smoke) {
 
 // Heavy tenants: refresh every round, and every refresh is expensive —
 // generous bootstrap and search knobs so one refresh takes long enough to
-// starve the barrier loop's fleet.
+// starve the inline-refresh baseline's fleet.
 DebugOptions HeavyOptions(bool smoke, size_t index) {
   DebugOptions options;
   // The refresh-cost lever is per-test row work (big bootstrap table, deep
@@ -200,8 +201,8 @@ OptimizeOptions LightOptions(bool smoke, size_t index) {
   OptimizeOptions options;
   options.initial_samples = smoke ? 8 : 4;
   // Single-candidate rounds at a short service time: the scheduler-relevant
-  // regime — little in-flight work for the barrier loop's inline refreshes
-  // to hide behind, so the baseline pays nearly the full stall, while the
+  // regime — little in-flight work for the baseline's inline refreshes to
+  // hide behind, so the baseline pays nearly the full stall, while the
   // pipelined scheduler keeps the fleet fed from the other tenants.
   options.candidates_per_round = smoke ? 4 : 1;
   options.max_iterations = smoke ? 40 : 220;
@@ -264,12 +265,13 @@ struct RunOutcome {
   BrokerStats broker;
 };
 
-enum class Mode { kSync, kBarrier, kPipelined };
+enum class Mode { kSync, kInline, kPipelined };
 
 // One full mixed campaign with fresh policy instances. kSync drives the
-// synchronous RunGrouped loop on a plain pool broker (the fast oracle — same
-// rows: harness measurement is pure per configuration); the other modes run
-// RunAsyncGrouped over the sleeping fleet with pipeline off/on.
+// synchronous RunGrouped loop on a task-only broker, whose one in-process
+// backend does not sleep (the fast oracle — same rows: harness measurement
+// is pure per configuration); the other modes run RunAsyncGrouped over the
+// sleeping fleet with pipeline off/on.
 RunOutcome RunCampaign(const Setup& s, bool smoke, Mode mode, int refresh_threads) {
   CampaignOptions campaign = ToCampaignOptions(HeavyOptions(smoke, 0));
   campaign.refresh_threads = refresh_threads;
@@ -453,22 +455,22 @@ int RunStudy(bool smoke, const std::string& json_path, const std::string& trace_
   bench::JsonResults json;
   bool all_identical = true;
 
-  // The oracle: synchronous RunGrouped, plain broker, no sleep.
+  // The oracle: synchronous RunGrouped, task-only broker, no sleep.
   const RunOutcome oracle = RunCampaign(s, smoke, Mode::kSync, 1);
   std::printf("sync oracle: %.2fs (%lld CI tests)\n", oracle.wall_s,
               oracle.signature.tests_requested);
 
-  // (a) barrier vs pipelined, both over the same sleeping fleet. One refresh
-  // worker for the headline: on a single visible core a wider refresh pool
-  // only time-slices the same CPU (the sweep's rt=4 cells show the
-  // cross-policy coalescing); what rt=1 already buys is the overlap.
-  const RunOutcome barrier = RunCampaign(s, smoke, Mode::kBarrier, 1);
+  // (a) inline vs pipelined refreshes, both over the same sleeping fleet.
+  // One refresh worker for the headline: on a single visible core a wider
+  // refresh pool only time-slices the same CPU (the sweep's rt=4 cells show
+  // the cross-policy coalescing); what rt=1 already buys is the overlap.
+  const RunOutcome inline_refresh = RunCampaign(s, smoke, Mode::kInline, 1);
   const RunOutcome pipelined = RunCampaign(s, smoke, Mode::kPipelined, 1);
-  const bool barrier_ok = barrier.signature.Matches(oracle.signature);
+  const bool inline_ok = inline_refresh.signature.Matches(oracle.signature);
   const bool pipelined_ok = pipelined.signature.Matches(oracle.signature);
-  all_identical = all_identical && barrier_ok && pipelined_ok;
+  all_identical = all_identical && inline_ok && pipelined_ok;
   const double speedup =
-      pipelined.wall_s > 0.0 ? barrier.wall_s / pipelined.wall_s : 0.0;
+      pipelined.wall_s > 0.0 ? inline_refresh.wall_s / pipelined.wall_s : 0.0;
   const double overlap_fraction =
       pipelined.pool.refresh_seconds > 0.0
           ? pipelined.pool.overlap_seconds / pipelined.pool.refresh_seconds
@@ -476,9 +478,9 @@ int RunStudy(bool smoke, const std::string& json_path, const std::string& trace_
 
   TextTable table({"scheduler", "wall(s)", "speedup", "refresh sum(s)", "overlap(s)",
                    "widest x-policy batch", "bit-identical"});
-  table.AddRow({"barrier", FormatDouble(barrier.wall_s, 2), "1.00",
-                FormatDouble(barrier.pool.refresh_seconds, 2), "-", "-",
-                barrier_ok ? "yes" : "NO (bug)"});
+  table.AddRow({"inline refresh", FormatDouble(inline_refresh.wall_s, 2), "1.00",
+                FormatDouble(inline_refresh.pool.refresh_seconds, 2), "-", "-",
+                inline_ok ? "yes" : "NO (bug)"});
   table.AddRow({"pipelined", FormatDouble(pipelined.wall_s, 2), FormatDouble(speedup, 2),
                 FormatDouble(pipelined.pool.refresh_seconds, 2),
                 FormatDouble(pipelined.pool.overlap_seconds, 2),
@@ -486,13 +488,15 @@ int RunStudy(bool smoke, const std::string& json_path, const std::string& trace_
                 pipelined_ok ? "yes" : "NO (bug)"});
   std::printf("%s", table.Render().c_str());
   std::printf("(single-core reading: refresh CPU is identical in both runs; the pipelined\n"
-              " win is fleet time the barrier loop wasted — light tenants stall behind\n"
+              " win is fleet time the inline baseline wasted — light tenants stall behind\n"
               " heavy inline refreshes there, while the scheduler keeps them measuring.\n"
               " overlap fraction: %.0f%% of refresh wall ran with measurements in flight)\n",
               100.0 * overlap_fraction);
   json.Add("pipeline", "tenants", static_cast<double>(tenants));
   json.Add("pipeline", "devices", kDevices);
-  json.Add("pipeline", "barrier_wall_seconds", barrier.wall_s);
+  // The inline baseline keeps its old key, so runs stay comparable with the
+  // committed BENCH_table_pipeline.json.
+  json.Add("pipeline", "barrier_wall_seconds", inline_refresh.wall_s);
   json.Add("pipeline", "pipelined_wall_seconds", pipelined.wall_s);
   json.Add("pipeline", "speedup", speedup);
   json.Add("pipeline", "refresh_sum_seconds", pipelined.pool.refresh_seconds);
@@ -500,7 +504,7 @@ int RunStudy(bool smoke, const std::string& json_path, const std::string& trace_
   json.Add("pipeline", "overlap_fraction", overlap_fraction);
   json.Add("pipeline", "widest_cross_policy_batch",
            static_cast<double>(pipelined.pool.widest_cross_policy_batch));
-  json.Add("pipeline", "bit_identical", barrier_ok && pipelined_ok ? 1.0 : 0.0);
+  json.Add("pipeline", "bit_identical", inline_ok && pipelined_ok ? 1.0 : 0.0);
 
   // (a2) observability: the identical pipelined run once more with span
   // tracing live end-to-end, a sampler thread reading the fleet's

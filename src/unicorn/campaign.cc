@@ -4,9 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <deque>
 #include <stdexcept>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -172,7 +172,7 @@ void CampaignRunner::RunGrouped(const std::vector<GroupedPolicy>& policies) {
       }
     }
     // Every active policy completed one round this wall interval: one SLO
-    // sample each, same definition as the asynchronous schedulers'.
+    // sample each, same definition as the asynchronous loop's.
     const double round_seconds =
         std::chrono::duration<double>(SchedClock::now() - round_start).count();
     for (size_t a = 0; a < active.size(); ++a) {
@@ -197,177 +197,66 @@ void CampaignRunner::RunGrouped(const std::vector<GroupedPolicy>& policies) {
   }
 }
 
-void CampaignRunner::RunAsync(const std::vector<CampaignPolicy*>& policies) {
-  std::vector<GroupedPolicy> grouped;
-  grouped.reserve(policies.size());
-  for (CampaignPolicy* policy : policies) {
-    grouped.push_back(GroupedPolicy{policy, ""});
-  }
-  RunAsyncGrouped(grouped);
-}
-
-void CampaignRunner::RunAsyncGrouped(const std::vector<GroupedPolicy>& policies) {
-  // Both loops take every finished batch off the broker's stream as their
-  // own, so nobody else's may be on it.
-  if (broker_.OutstandingRequests() > 0) {
-    throw std::logic_error("async campaign: the broker has outstanding requests");
-  }
-  if (options_.pipeline) {
-    RunAsyncGroupedPipelined(policies);
-  } else {
-    RunAsyncGroupedBarrier(policies);
-  }
-}
-
-// The pre-pipeline drain loop: refreshes run inline on the campaign thread,
-// so a completed policy that needs (or follows) a long refresh blocks every
-// other policy's absorb-and-resubmit — head-of-line blocking that starves
-// the fleet. Kept as the measurable baseline for bench/table_pipeline.cc
-// and selectable via CampaignOptions::pipeline = false.
-void CampaignRunner::RunAsyncGroupedBarrier(const std::vector<GroupedPolicy>& policies) {
-  // Per-policy pipeline state: each policy is always either retired or
-  // waiting on exactly one outstanding broker batch.
-  struct PolicyState {
-    CampaignPolicy* policy = nullptr;
-    size_t shard = 0;
-    size_t round = 0;
-    std::vector<std::vector<double>> proposal;
-    SchedClock::time_point round_start{};
-  };
-  std::vector<PolicyState> states;
-  std::unordered_map<uint64_t, size_t> batch_owner;  // broker batch id -> state
-  size_t active = 0;
-
-  // Refresh (the policy's own shard, per-policy round, same seed stream as
-  // Run), propose, submit. Returns false when the policy retired instead of
-  // launching a round.
-  const auto launch_round = [&](size_t state_index) {
-    PolicyState& state = states[state_index];
-    state.round_start = SchedClock::now();
-    CampaignContext ctx = ContextFor(state.shard, state.round);
-    if (state.policy->WantsRefresh(ctx)) {
-      // Single-shard batch: the empty-table guard and the refresh ledger
-      // live in the pool.
-      pool_.RefreshShards({state.shard}, RefreshSeed(state.round));
-    }
-    state.proposal = state.policy->Propose(ctx);
-    if (state.proposal.empty()) {
-      // A policy proposing nothing can never finish itself (same guard as
-      // the synchronous loop).
-      state.policy->Finalize(ctx);
-      return false;
-    }
-    std::vector<std::string> envs = state.policy->ProposalEnvironments(state.proposal.size());
-    if (!envs.empty() && envs.size() != state.proposal.size()) {
-      throw std::logic_error("campaign: ProposalEnvironments must parallel the proposal");
-    }
-    const BatchTicket ticket = broker_.SubmitBatch(state.proposal, envs);
-    batch_owner.emplace(ticket.id, state_index);
-    return true;
-  };
-
-  states.reserve(policies.size());
-  for (const GroupedPolicy& entry : policies) {
-    const size_t shard = pool_.ShardForGroup(entry.group);
-    if (entry.policy->Finished()) {
-      CampaignContext ctx = ContextFor(shard, 0);
-      entry.policy->Finalize(ctx);
-      continue;
-    }
-    states.push_back(PolicyState{entry.policy, shard, 0, {}});
-    if (launch_round(states.size() - 1)) {
-      ++active;
-    }
-  }
-
-  // Drain the batch stream: whichever policy's batch finishes first
-  // absorbs first and immediately pipelines its next round — no barrier on
-  // the other policies' in-flight measurements.
-  while (active > 0) {
-    BatchResult batch;
-    if (!broker_.WaitBatch(&batch)) {
-      throw std::runtime_error("async campaign: completion stream ended with active policies");
-    }
-    if (!batch.error.empty()) {
-      throw std::runtime_error("async campaign: measurement failed permanently: " + batch.error);
-    }
-    const size_t state_index = batch_owner.at(batch.id);
-    batch_owner.erase(batch.id);
-    PolicyState& state = states[state_index];
-
-    CampaignContext ctx = ContextFor(state.shard, state.round);
-    {
-      TRACE_SPAN_NAMED(absorb_span, "campaign.absorb", "campaign");
-      absorb_span.SetArg("round", static_cast<double>(state.round));
-      state.policy->Absorb(state.proposal, batch.rows, ctx);
-    }
-    Metrics().rounds->Increment();
-    Metrics().round_seconds->Record(
-        std::chrono::duration<double>(SchedClock::now() - state.round_start).count());
-    if (state.policy->Finished() || state.round + 1 >= kMaxRounds) {
-      state.policy->Finalize(ctx);
-      --active;
-      continue;
-    }
-    ++state.round;
-    if (!launch_round(state_index)) {
-      --active;
-    }
-  }
-}
-
-// The pipelined campaign scheduler (ROADMAP "pipelined campaign rounds"):
-// a ready-set event loop over two completion streams — finished measurement
-// batches from the broker and shard-refresh done events from the pool's
-// asynchronous refresh workers. A policy whose next round wants a refresh
-// hands its shard to the workers and the loop keeps absorbing and
-// resubmitting every other policy meanwhile, so dirty shards of *different*
-// policies refresh as one parallel batch while their own and other policies'
-// measurements keep the fleet busy — refresh compute hidden behind device
-// service time (the overlap the pool's ledger reports).
+// The asynchronous campaign loop (ROADMAP "pipelined campaign rounds"): an
+// event loop over two completion streams — finished measurement batches from
+// the broker and shard-refresh done events from the pool's asynchronous
+// refresh workers. Each policy owns its shard, so no policy's step ever
+// waits on another's: whichever batch finishes first absorbs first and
+// launches its next round at once. With CampaignOptions::pipeline, a round
+// that wants a refresh hands its shard to the pool's workers and the loop
+// keeps absorbing and resubmitting every other policy meanwhile, so dirty
+// shards of *different* policies refresh as one parallel batch while their
+// own and other policies' measurements keep the fleet busy — refresh compute
+// hidden behind device service time (the overlap the pool's ledger
+// reports). Without it, the refresh runs inline on the campaign thread and
+// every other policy's absorb-and-resubmit waits behind it: the
+// head-of-line-blocking baseline bench/table_pipeline.cc measures against.
 //
 // Per-policy semantics are exactly the synchronous loop's: refresh decided
 // at round start (WantsRefresh before Propose), seeded RefreshSeed(round)
-// fixed at enqueue, rows absorbed as one batch in proposal order. Policies
-// in distinct objective groups are therefore bit-identical to RunGrouped;
-// same-group interleaving remains completion-order-dependent, as documented
-// on RunAsyncGrouped.
-void CampaignRunner::RunAsyncGroupedPipelined(const std::vector<GroupedPolicy>& policies) {
+// fixed at enqueue, rows absorbed as one batch in proposal order. Every
+// policy is therefore bit-identical to its RunGrouped self.
+void CampaignRunner::RunAsyncGrouped(const std::vector<GroupedPolicy>& policies) {
+  // The loop takes every finished batch off the broker's stream as its own,
+  // so nobody else's may be on it.
+  if (broker_.OutstandingRequests() > 0) {
+    throw std::logic_error("async campaign: the broker has outstanding requests");
+  }
+  // One policy per shard: a shard's refresh, propose and absorb then follow
+  // that policy's own rounds, never measurement completion order.
+  std::unordered_set<std::string> groups;
+  for (const GroupedPolicy& entry : policies) {
+    if (!groups.insert(entry.group).second) {
+      throw std::invalid_argument("async campaign: two policies name objective group \"" +
+                                  entry.group + "\"; share a model under RunGrouped");
+    }
+  }
+
   // Alternation quantum while both streams are live: the timed batch wait
   // returns early on every finished batch, so this bounds only refresh-done
-  // latency. 2ms keeps a parked shard's next step prompt (the shard sits
-  // idle until the done event is seen) while staying far below a device
-  // service time, so fleet feeding is never the bottleneck.
+  // latency. 2ms keeps a refreshed policy's Propose prompt while staying far
+  // below a device service time, so fleet feeding is never the bottleneck.
   constexpr double kPollSeconds = 0.002;
 
+  // Each policy is always either retired, refreshing its shard, or waiting
+  // on exactly one outstanding broker batch.
   struct PolicyState {
     CampaignPolicy* policy = nullptr;
     size_t shard = 0;
     size_t round = 0;
     std::vector<std::vector<double>> proposal;
-    std::vector<std::vector<double>> rows;  // the finished batch, until absorbed
     SchedClock::time_point round_start{};
   };
-  enum class ShardAction : uint8_t { kLaunch, kAbsorb, kPropose };
-
   std::vector<PolicyState> states;
   std::unordered_map<uint64_t, size_t> batch_owner;  // broker batch id -> state
   size_t active = 0;
-  // Per-shard scheduling state. A shard with an asynchronous refresh in
-  // flight must not be touched and must not be refreshed again (pool
-  // contract), so a same-group policy whose launch comes up, whose batch
-  // finishes, or whose own refresh finished while a groupmate's is still
-  // running parks its next step here; the queue drains FIFO the moment the
-  // shard goes quiet. Policies in distinct groups never park.
-  std::vector<size_t> shard_refreshing;
-  std::vector<std::deque<std::pair<ShardAction, size_t>>> shard_queue;
-  // Measurement rows submitted and not yet handed to the scheduler in a
-  // finished batch: the gauge the pool's overlap ledger samples.
+  // Measurement rows submitted and not yet handed to the loop in a finished
+  // batch: the gauge the pool's overlap ledger samples.
   std::atomic<size_t> in_flight_rows{0};
 
-  // Propose and submit the policy's current round (its shard is quiet and
-  // refreshed, or needed no refresh). Returns false when the policy retired
-  // on an empty proposal instead.
+  // Propose and submit the policy's current round (its shard is refreshed,
+  // or needed no refresh). Returns false when the policy retired on an empty
+  // proposal instead.
   const auto propose_and_submit = [&](size_t state_index) -> bool {
     PolicyState& state = states[state_index];
     TRACE_SPAN_NAMED(propose_span, "campaign.propose", "campaign");
@@ -375,6 +264,8 @@ void CampaignRunner::RunAsyncGroupedPipelined(const std::vector<GroupedPolicy>& 
     CampaignContext ctx = ContextFor(state.shard, state.round);
     state.proposal = state.policy->Propose(ctx);
     if (state.proposal.empty()) {
+      // A policy proposing nothing can never finish itself (same guard as
+      // the synchronous loop).
       state.policy->Finalize(ctx);
       return false;
     }
@@ -392,29 +283,34 @@ void CampaignRunner::RunAsyncGroupedPipelined(const std::vector<GroupedPolicy>& 
   };
 
   // Start the policy's round: same trigger point and seed stream as the
-  // synchronous loop, but the refresh itself runs on the pool's workers —
-  // the Propose happens when its done event comes back. Returns false when
-  // the policy retired.
+  // synchronous loop. A pipelined refresh runs on the pool's workers and the
+  // Propose happens when its done event comes back. Returns false when the
+  // policy retired.
   const auto launch_round = [&](size_t state_index) -> bool {
     PolicyState& state = states[state_index];
     state.round_start = SchedClock::now();
     CampaignContext ctx = ContextFor(state.shard, state.round);
     if (state.policy->WantsRefresh(ctx)) {
-      ++shard_refreshing[state.shard];
-      pool_.StartRefreshAsync(state.shard, RefreshSeed(state.round),
-                              static_cast<uint64_t>(state_index));
-      return true;  // still active: awaiting the refresh
+      if (options_.pipeline) {
+        pool_.StartRefreshAsync(state.shard, RefreshSeed(state.round),
+                                static_cast<uint64_t>(state_index));
+        return true;  // still active: awaiting the refresh
+      }
+      // Single-shard batch: the empty-table guard and the refresh ledger
+      // live in the pool.
+      pool_.RefreshShards({state.shard}, RefreshSeed(state.round));
     }
     return propose_and_submit(state_index);
   };
 
-  const auto absorb_and_advance = [&](size_t state_index) {
+  const auto absorb_and_advance = [&](size_t state_index,
+                                      const std::vector<std::vector<double>>& rows) {
     PolicyState& state = states[state_index];
     CampaignContext ctx = ContextFor(state.shard, state.round);
     {
       TRACE_SPAN_NAMED(absorb_span, "campaign.absorb", "campaign");
       absorb_span.SetArg("round", static_cast<double>(state.round));
-      state.policy->Absorb(state.proposal, state.rows, ctx);
+      state.policy->Absorb(state.proposal, rows, ctx);
     }
     Metrics().rounds->Increment();
     Metrics().round_seconds->Record(
@@ -430,74 +326,45 @@ void CampaignRunner::RunAsyncGroupedPipelined(const std::vector<GroupedPolicy>& 
     }
   };
 
-  // Drain the shard's parked actions while it stays quiet. An absorb may
-  // relaunch a round that starts a new refresh on this very shard — the loop
-  // stops and the remainder waits for that refresh's done event.
-  const auto process_shard = [&](size_t shard) {
-    auto& queue = shard_queue[shard];
-    while (!queue.empty() && shard_refreshing[shard] == 0) {
-      const auto [action, state_index] = queue.front();
-      queue.pop_front();
-      if (action == ShardAction::kAbsorb) {
-        absorb_and_advance(state_index);
-      } else if (action == ShardAction::kLaunch) {
-        if (!launch_round(state_index)) {
-          --active;
-        }
-      } else if (!propose_and_submit(state_index)) {
-        --active;
-      }
-    }
-  };
-
-  const auto handle_refresh_done = [&](ShardRefreshDone& done) {
-    --shard_refreshing[done.shard];
+  const auto handle_refresh_done = [&](const ShardRefreshDone& done) {
     if (done.error != nullptr) {
       std::rethrow_exception(done.error);
     }
-    shard_queue[done.shard].push_back(
-        {ShardAction::kPropose, static_cast<size_t>(done.token)});
-    process_shard(done.shard);
+    if (!propose_and_submit(static_cast<size_t>(done.token))) {
+      --active;
+    }
   };
-
-  // Resolve every group's shard up front: shard storage must not grow once
-  // refresh workers hold engine references.
-  std::vector<size_t> shard_of(policies.size());
-  for (size_t p = 0; p < policies.size(); ++p) {
-    shard_of[p] = pool_.ShardForGroup(policies[p].group);
-  }
-  shard_refreshing.assign(pool_.num_shards(), 0);
-  shard_queue.assign(pool_.num_shards(), {});
 
   pool_.SetInFlightGauge(&in_flight_rows);
   try {
+    // Resolve every group's shard before the first launch: shard storage
+    // must not grow once refresh workers hold engine references.
     states.reserve(policies.size());
-    for (size_t p = 0; p < policies.size(); ++p) {
-      if (policies[p].policy->Finished()) {
-        CampaignContext ctx = ContextFor(shard_of[p], 0);
-        policies[p].policy->Finalize(ctx);
+    for (const GroupedPolicy& entry : policies) {
+      const size_t shard = pool_.ShardForGroup(entry.group);
+      if (entry.policy->Finished()) {
+        CampaignContext ctx = ContextFor(shard, 0);
+        entry.policy->Finalize(ctx);
         continue;
       }
-      states.push_back(PolicyState{policies[p].policy, shard_of[p], 0, {}, {}});
+      states.push_back(PolicyState{entry.policy, shard, 0, {}, {}});
     }
-    // Launches go through the shard queues like every later step, so one
-    // parks behind a groupmate's round-0 refresh.
     for (size_t i = 0; i < states.size(); ++i) {
-      ++active;
-      shard_queue[states[i].shard].push_back({ShardAction::kLaunch, i});
-      process_shard(states[i].shard);
+      if (launch_round(i)) {
+        ++active;
+      }
     }
 
     while (active > 0) {
       // Refresh-done events first: they are cheap to handle and each one
-      // unparks a Propose whose batch then feeds the fleet.
+      // releases a Propose whose batch then feeds the fleet.
       ShardRefreshDone rdone;
       bool handled = false;
       while (pool_.TryPopRefreshDone(&rdone)) {
         handle_refresh_done(rdone);
         handled = true;
       }
-      if (handled || active == 0) {
+      if (handled) {
         continue;  // scheduling state changed: re-evaluate what to wait on
       }
       const bool measurements_pending = !batch_owner.empty();
@@ -534,10 +401,7 @@ void CampaignRunner::RunAsyncGroupedPipelined(const std::vector<GroupedPolicy>& 
                                static_cast<double>(now_in_flight));
       const size_t state_index = batch_owner.at(batch.id);
       batch_owner.erase(batch.id);
-      PolicyState& state = states[state_index];
-      state.rows = std::move(batch.rows);
-      shard_queue[state.shard].push_back({ShardAction::kAbsorb, state_index});
-      process_shard(state.shard);
+      absorb_and_advance(state_index, batch.rows);
     }
   } catch (...) {
     // Workers may still hold engine and gauge references: quiesce the pool

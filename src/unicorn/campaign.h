@@ -15,8 +15,8 @@
 // of them measures teaches the model all of them reason on — and all groups
 // share the broker's measurement cache plus one process-wide CI-result
 // cache, so a configuration or a p-value one group already paid for is free
-// for the rest. The plain Run/RunAsync overloads put every policy in one
-// default group, which is exactly the old single-engine campaign.
+// for the rest. The plain Run overload puts every policy in one default
+// group, which is exactly the old single-engine campaign.
 //
 // Cross-environment transfer seeds the target shard: before Run, a recorded
 // source-hardware table goes straight into the engine as source-provenance
@@ -53,16 +53,15 @@ double GoalViolation(const std::vector<double>& row, const std::vector<Objective
 /// references — valid only for the duration of the callback that received
 /// the context. `engine` is the policy's shard: policies written against the
 /// old single-engine campaign keep working unchanged, they just reason on
-/// (and absorb into) their group's table. `pool` exposes the whole shard
-/// pool for fleet-style accounting (aggregate stats, cross-shard cache
-/// hits); policies must not refresh other groups' shards from callbacks.
+/// (and absorb into) their group's table. Other groups' shards are out of
+/// reach: under RunAsyncGrouped they may be refreshing on the pool's workers
+/// while a callback runs.
 struct CampaignContext {
   const PerformanceTask& task;
   CausalModelEngine& engine;
   MeasurementBroker& broker;
   size_t round = 0;
-  size_t shard = 0;                    // index of `engine` in `pool`
-  EngineShardPool* pool = nullptr;     // owned by the runner; never null there
+  size_t shard = 0;  // index of `engine` in the runner's pool()
 };
 
 /// A reasoning policy driven by the CampaignRunner. Give concurrent policies
@@ -141,16 +140,16 @@ struct CampaignOptions {
   /// ShardPoolOptions::refresh_threads). 1 = serial; results bit-identical
   /// for any value.
   int refresh_threads = 1;
-  /// RunAsyncGrouped engine. true (default): the pipelined campaign
-  /// scheduler — shard refreshes run asynchronously on the pool's refresh
-  /// workers and dirty shards of different policies coalesce into one
-  /// parallel refresh batch, so another policy's absorb/propose/submit is
-  /// never stuck behind a refresh it does not need (its measurements keep
-  /// the fleet busy while refresh compute runs). false: the drain loop that
-  /// refreshes inline on the campaign thread, kept as the measurable
-  /// baseline (bench/table_pipeline.cc compares the two). Per-policy
-  /// results are bit-identical either way — same refresh-seed stream, same
-  /// refresh trigger points, same rows in the same order (pinned by
+  /// Where RunAsyncGrouped runs a round's refresh. true (default): on the
+  /// pool's refresh workers, so dirty shards of different policies coalesce
+  /// into one parallel refresh batch and no other policy's
+  /// absorb/propose/submit waits behind a refresh it does not need (its
+  /// measurements keep the fleet busy while refresh compute runs). false:
+  /// inline on the campaign thread, which blocks every other policy behind
+  /// the refresh — the head-of-line-blocking baseline
+  /// bench/table_pipeline.cc measures against. Per-policy results are
+  /// bit-identical either way — same refresh-seed stream, same refresh
+  /// trigger points, same rows in the same order (pinned by
   /// tests/pipeline_scheduler_test.cc).
   bool pipeline = true;
 };
@@ -199,38 +198,33 @@ class CampaignRunner {
   /// policy submits its round as its own broker batch and absorbs it the
   /// moment its rows land, so a fast policy refreshes its shard and
   /// proposes again while a slow policy's measurements are still in flight
-  /// on the fleet — no per-round barrier across policies. Round counters,
-  /// refresh seeds, and the propose/absorb contract are per policy and
-  /// unchanged; with a single policy (homogeneous backends) this is
-  /// bit-identical to Run, and policies in distinct objective groups are
-  /// bit-identical to their RunGrouped selves for any
-  /// CampaignOptions::pipeline / refresh_threads setting. With several
-  /// policies sharing a group, the interleaving of that shard's refreshes
-  /// follows measurement completion order, which on a fleet with more than
-  /// one worker is timing-dependent — results stay valid but are not
-  /// run-to-run deterministic.
+  /// on the fleet — no per-round barrier across policies. Each policy owns
+  /// its objective group's shard, so round counters, refresh seeds, and the
+  /// propose/absorb contract are per policy and unchanged: every policy is
+  /// bit-identical to its RunGrouped self, for any
+  /// CampaignOptions::pipeline / refresh_threads setting. Policies that
+  /// should share one model run under RunGrouped.
   ///
-  /// With CampaignOptions::pipeline (the default) this runs the pipelined
-  /// campaign scheduler: finished batches stream in from the broker and
-  /// are absorbed the moment they arrive; a policy whose next round wants a
-  /// refresh hands its shard to the pool's asynchronous refresh workers and
-  /// the scheduler keeps servicing every other policy meanwhile — dirty shards
-  /// of different policies refresh as one parallel batch, hidden behind
-  /// the fleet's device service time (ShardPoolStats::overlap_seconds /
-  /// widest_cross_policy_batch report how well).
-  /// Precondition: the broker has no outstanding requests, so every batch
-  /// on its stream is the campaign's own; otherwise throws std::logic_error
-  /// before any policy runs.
+  /// With CampaignOptions::pipeline (the default), a policy whose next
+  /// round wants a refresh hands its shard to the pool's asynchronous
+  /// refresh workers and the loop keeps servicing every other policy
+  /// meanwhile — dirty shards of different policies refresh as one parallel
+  /// batch, hidden behind the fleet's device service time
+  /// (ShardPoolStats::overlap_seconds / widest_cross_policy_batch report
+  /// how well).
+  /// Preconditions, checked before any policy runs: the broker has no
+  /// outstanding requests, so every batch on its stream is the campaign's
+  /// own (otherwise std::logic_error); no two policies name the same group
+  /// (otherwise std::invalid_argument, and no shard is created).
   /// Failure: as Run; a permanently failed measurement throws (outstanding
   /// asynchronous refreshes are drained before the exception leaves).
   void RunAsyncGrouped(const std::vector<GroupedPolicy>& policies);
-  void RunAsync(const std::vector<CampaignPolicy*>& policies);
 
  private:
-  // Refresh-seed stream shared by Run and RunAsync: the round-r refreshing
-  // round reseeds with seed + (r - 1); round 0 is the bootstrap round and
-  // aliases to seed + 0 (it only refreshes when the shard already has
-  // rows). The single-policy async == sync bit-identity rests on both
+  // Refresh-seed stream shared by RunGrouped and RunAsyncGrouped: the
+  // round-r refreshing round reseeds with seed + (r - 1); round 0 is the
+  // bootstrap round and aliases to seed + 0 (it only refreshes when the
+  // shard already has rows). The async == sync bit-identity rests on both
   // loops drawing from this one formula; shards share the stream, so a
   // single-group campaign sees the exact pre-sharding seeds.
   uint64_t RefreshSeed(size_t round) const {
@@ -239,14 +233,10 @@ class CampaignRunner {
 
   // The policy's context for one callback: its shard, the shared broker.
   CampaignContext ContextFor(size_t shard, size_t round) {
-    return CampaignContext{broker_.task(), pool_.shard(shard), broker_, round, shard, &pool_};
+    return CampaignContext{broker_.task(), pool_.shard(shard), broker_, round, shard};
   }
 
   static ShardPoolOptions MakePoolOptions(const CampaignOptions& options);
-
-  // The two RunAsyncGrouped engines (see CampaignOptions::pipeline).
-  void RunAsyncGroupedBarrier(const std::vector<GroupedPolicy>& policies);
-  void RunAsyncGroupedPipelined(const std::vector<GroupedPolicy>& policies);
 
   CampaignOptions options_;
   MeasurementBroker broker_;  // owns the task

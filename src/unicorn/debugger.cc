@@ -210,9 +210,6 @@ void DebugPolicy::Finalize(CampaignContext& ctx) {
   }
   result_.engine_stats = ctx.engine.stats();
   result_.shard = ctx.shard;
-  if (ctx.pool != nullptr) {
-    result_.pool_stats = ctx.pool->stats();
-  }
   result_.broker_stats = ctx.broker.stats();
   result_.source_rows = ctx.engine.ProvenanceRows(RowProvenance::kSource);
   result_.target_rows = ctx.engine.ProvenanceRows(RowProvenance::kTarget);

@@ -83,10 +83,6 @@ struct DebugResult {
   // Index of the objective group's shard in the campaign's EngineShardPool
   // (0 for single-group campaigns).
   size_t shard = 0;
-  // Fleet-style aggregate over every shard of the campaign's pool at the
-  // moment this policy finalized: total refreshes, the parallel-refresh
-  // ledger, and the cross-shard cache-hit count the shared CI cache bought.
-  ShardPoolStats pool_stats;
   // Measurement-plane accounting of the campaign's broker: requests,
   // dedup-cache hits, batch sizes, measuring wall time.
   BrokerStats broker_stats;

@@ -126,13 +126,10 @@ void EngineShardPool::StartRefreshAsync(size_t shard_index, uint64_t seed, uint6
   }
   {
     std::lock_guard<std::mutex> lock(async_mu_);
-    AsyncShardState& state = async_shards_[shard_index];
-    if (state.busy) {
+    if (!busy_shards_.insert(shard_index).second) {
       throw std::logic_error(
           "EngineShardPool::StartRefreshAsync: the shard's refresh is outstanding");
     }
-    state.busy = true;
-    ++async_outstanding_;
   }
   // Shortest-job-first: refresh cost grows superlinearly with the shard's
   // row count, so small shards jump the queue. Without this, a light
@@ -168,8 +165,8 @@ void EngineShardPool::RunAsyncRefresh(size_t shard_index, uint64_t seed, uint64_
   done.token = token;
   // Engine-internal refresh seconds for this job (0 for an empty-shard
   // skip). This, not the job's wall time, is what the overlap ledger
-  // credits: wall also contains dispatch/snapshot overhead outside the
-  // refresh, which used to nudge overlap_seconds past the summed
+  // credits: wall also contains dispatch overhead outside the refresh,
+  // which used to nudge overlap_seconds past the summed
   // refresh_seconds it is a fraction of (overlap_fraction 1.0000004).
   double engine_seconds = 0.0;
   try {
@@ -210,11 +207,6 @@ void EngineShardPool::RunAsyncRefresh(size_t shard_index, uint64_t seed, uint64_
     // refresh seconds so the ledger can never exceed the refresh_seconds
     // aggregate it is reported as a fraction of.
     overlap_seconds_ += engine_seconds * overlap_credit;
-    AsyncShardState& state = async_shards_[shard_index];
-    // Snapshot the engine's stats while the shard is quiescent, so stats()
-    // callers never read a mid-refresh engine.
-    state.snapshot = shard(shard_index).stats();
-    state.has_snapshot = true;
     async_done_.push_back(std::move(done));
   }
   async_cv_.notify_all();
@@ -223,8 +215,7 @@ void EngineShardPool::RunAsyncRefresh(size_t shard_index, uint64_t seed, uint64_
 void EngineShardPool::PopRefreshDone(ShardRefreshDone* out) {
   *out = std::move(async_done_.front());
   async_done_.pop_front();
-  --async_outstanding_;
-  async_shards_[out->shard].busy = false;
+  busy_shards_.erase(out->shard);
 }
 
 bool EngineShardPool::TryPopRefreshDone(ShardRefreshDone* out) {
@@ -238,7 +229,7 @@ bool EngineShardPool::TryPopRefreshDone(ShardRefreshDone* out) {
 
 bool EngineShardPool::WaitRefreshDone(ShardRefreshDone* out) {
   std::unique_lock<std::mutex> lock(async_mu_);
-  if (async_outstanding_ == 0) {
+  if (busy_shards_.empty()) {
     return false;
   }
   async_cv_.wait(lock, [&] { return !async_done_.empty(); });
@@ -248,7 +239,7 @@ bool EngineShardPool::WaitRefreshDone(ShardRefreshDone* out) {
 
 size_t EngineShardPool::PendingAsyncRefreshes() const {
   std::lock_guard<std::mutex> lock(async_mu_);
-  return async_outstanding_;
+  return busy_shards_.size();
 }
 
 void EngineShardPool::DrainAsyncRefreshes() {
@@ -263,20 +254,14 @@ void EngineShardPool::SetInFlightGauge(const std::atomic<size_t>* gauge) {
 }
 
 ShardPoolStats EngineShardPool::stats() const {
+  std::lock_guard<std::mutex> lock(async_mu_);
+  if (!busy_shards_.empty()) {
+    throw std::logic_error("EngineShardPool::stats: asynchronous refreshes outstanding");
+  }
   ShardPoolStats stats;
   stats.shards = shards_.size();
-  std::lock_guard<std::mutex> lock(async_mu_);
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    // A shard with an asynchronous refresh in flight is aggregated from its
-    // last completed snapshot (taken under async_mu_ at job completion), so
-    // this never reads an engine another thread is mutating. A busy shard
-    // that never completed a refresh contributes zeros for one poll.
-    const auto async_it = async_shards_.find(i);
-    const bool busy = async_it != async_shards_.end() && async_it->second.busy;
-    const EngineStats& s = busy ? async_it->second.snapshot : shards_[i]->stats();
-    if (busy && !async_it->second.has_snapshot) {
-      continue;
-    }
+  for (const auto& shard : shards_) {
+    const EngineStats& s = shard->stats();
     stats.refreshes += s.refreshes;
     stats.tests_requested += s.total_tests_requested;
     stats.tests_evaluated += s.total_tests_evaluated;

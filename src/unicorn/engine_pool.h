@@ -34,6 +34,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "stats/ci_cache.h"
@@ -74,7 +75,7 @@ struct ShardPoolStats {
   size_t max_concurrent_refreshes = 0;
   double batch_wall_seconds = 0.0;
   // Refresh-worker ledger, fed by every refresh that runs on the pool's
-  // workers: StartRefreshAsync (the pipelined campaign scheduler's path)
+  // workers: StartRefreshAsync (the asynchronous campaign loop's path)
   // and the multi-shard batches of RefreshShards, which start theirs the
   // same way. `widest_cross_policy_batch` is the most shard refreshes ever
   // observed running at once on the workers — each running job is a
@@ -87,8 +88,8 @@ struct ShardPoolStats {
   // and end (trapezoid), so it is a coarse estimate, not an integral; it is
   // always <= refresh_seconds (clamped against float rounding), so
   // overlap_seconds / refresh_seconds is a true fraction. Without a
-  // registered gauge (every caller but the pipelined scheduler) a refresh
-  // earns no overlap.
+  // registered gauge (every caller but the asynchronous campaign loop) a
+  // refresh earns no overlap.
   size_t widest_cross_policy_batch = 0;
   double overlap_seconds = 0.0;
 
@@ -155,7 +156,7 @@ class EngineShardPool {
   // shard (in shard order) is rethrown; the other shards did refresh.
   void RefreshShards(std::vector<size_t> shards, uint64_t seed);
 
-  // --- asynchronous refreshes (the pipelined campaign scheduler) -----------
+  // --- asynchronous refreshes (the asynchronous campaign loop) -------------
   //
   // StartRefreshAsync enqueues one shard refresh and returns immediately;
   // the refresh runs on the pool's refresh workers (max(1, refresh_threads)
@@ -164,21 +165,19 @@ class EngineShardPool {
   // concurrently — that concurrency is the cross-policy refresh coalescing
   // the ledger reports. A shard refreshes once at a time: starting a shard
   // whose done event has not been popped yet throws std::logic_error (the
-  // caller orders a shard's refreshes, e.g. the pipelined scheduler's
-  // per-shard queue).
+  // caller orders a shard's refreshes; the campaign loop's next step on a
+  // shard waits for its done event).
   // An empty shard skips the engine refresh but still delivers its done
   // event (mirroring RefreshShards' guard).
   //
   // Contract: between StartRefreshAsync(shard, ...) and popping its done
   // event, the caller must not touch that shard's engine (no absorb, no
-  // Propose reading it) and must not call RefreshShards on it. Exceptions
-  // from the refresh are captured in ShardRefreshDone::error, never thrown
-  // from the worker.
+  // Propose reading it) and must not call RefreshShards or stats().
+  // Exceptions from the refresh are captured in ShardRefreshDone::error,
+  // never thrown from the worker.
   //
   // Thread-safety: Start/TryPop/WaitRefreshDone/Drain are driven by one
-  // scheduler thread; the workers run concurrently underneath. stats() may
-  // be called while asynchronous refreshes are in flight — shards currently
-  // refreshing are aggregated from their last completed snapshot.
+  // scheduler thread; the workers run concurrently underneath.
   void StartRefreshAsync(size_t shard, uint64_t seed, uint64_t token);
   // Non-blocking: false when no done event is queued right now.
   bool TryPopRefreshDone(ShardRefreshDone* out);
@@ -197,18 +196,13 @@ class EngineShardPool {
   void SetInFlightGauge(const std::atomic<size_t>* gauge);
 
   // Aggregate of every shard's EngineStats plus the pool refresh ledger.
+  // Precondition: no asynchronous refresh is outstanding (a refreshing
+  // engine's stats are being written); otherwise throws std::logic_error.
   ShardPoolStats stats() const;
 
  private:
-  // Per-shard asynchronous bookkeeping, all under async_mu_.
-  struct AsyncShardState {
-    bool busy = false;  // a refresh was started and its done event not popped
-    EngineStats snapshot;     // engine stats at the last completed refresh
-    bool has_snapshot = false;
-  };
-
-  // Runs one shard refresh on a worker: executes, snapshots stats, and
-  // delivers the done event.
+  // Runs one shard refresh on a worker: executes, books the overlap ledger,
+  // and delivers the done event.
   void RunAsyncRefresh(size_t shard_index, uint64_t seed, uint64_t token);
   // Pops the oldest done event and releases its shard. Requires async_mu_
   // held and a queued event.
@@ -228,9 +222,8 @@ class EngineShardPool {
   std::unique_ptr<ThreadPool> refresh_pool_;  // lazily created
   mutable std::mutex async_mu_;
   std::condition_variable async_cv_;      // done event available
-  std::unordered_map<size_t, AsyncShardState> async_shards_;
+  std::unordered_set<size_t> busy_shards_;  // started, done event not yet popped
   std::deque<ShardRefreshDone> async_done_;
-  size_t async_outstanding_ = 0;  // started, done event not yet popped
   size_t async_running_ = 0;      // jobs executing right now (distinct shards)
   size_t widest_async_ = 0;
   double overlap_seconds_ = 0.0;

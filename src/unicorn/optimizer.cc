@@ -192,9 +192,6 @@ void OptimizePolicy::Absorb(const std::vector<std::vector<double>>& configs,
 void OptimizePolicy::Finalize(CampaignContext& ctx) {
   result_.engine_stats = ctx.engine.stats();
   result_.shard = ctx.shard;
-  if (ctx.pool != nullptr) {
-    result_.pool_stats = ctx.pool->stats();
-  }
   result_.broker_stats = ctx.broker.stats();
   result_.source_rows = ctx.engine.ProvenanceRows(RowProvenance::kSource);
   result_.target_rows = ctx.engine.ProvenanceRows(RowProvenance::kTarget);

@@ -65,9 +65,8 @@ struct OptimizeResult {
   // Discovery-cost accounting of the engine shard across all its model
   // refreshes (see DebugResult::engine_stats).
   EngineStats engine_stats;
-  // Shard index and pool-wide aggregate (see DebugResult counterparts).
+  // Shard index (see DebugResult::shard).
   size_t shard = 0;
-  ShardPoolStats pool_stats;
   // Measurement-plane accounting of the campaign's broker.
   BrokerStats broker_stats;
 };

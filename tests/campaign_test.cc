@@ -194,8 +194,8 @@ TEST(CampaignTest, MixedDebugAndOptimizePoliciesShareOneCampaign) {
 }
 
 // With a single policy the async runner degenerates to the same
-// refresh/propose/absorb sequence as the barrier loop (one batch in flight
-// at a time, same per-round refresh seeds), so the results must be
+// refresh/propose/absorb sequence as the synchronous loop (one batch in
+// flight at a time, same per-round refresh seeds), so the results must be
 // bit-identical — the async plumbing cannot leak into the reasoning.
 TEST(CampaignTest, AsyncSinglePolicyMatchesSyncBitForBit) {
   Scenario s = MakeScenario(SystemId::kXception, 304);
@@ -212,7 +212,7 @@ TEST(CampaignTest, AsyncSinglePolicyMatchesSyncBitForBit) {
     CampaignRunner runner(s.task, campaign);
     DebugPolicy policy(options, fault->config, goals);
     if (async) {
-      runner.RunAsync({&policy});
+      runner.RunAsyncGrouped({GroupedPolicy{&policy, ""}});
     } else {
       runner.Run({&policy});
     }
@@ -268,7 +268,7 @@ TEST(CampaignTest, AsyncFleetCampaignWithFailuresMatchesSerial) {
   CampaignRunner fleet_runner(
       s.task, campaign, std::make_unique<BackendFleet>(std::move(backends), fleet_options));
   DebugPolicy fleet_policy(options, fault->config, goals);
-  fleet_runner.RunAsync({&fleet_policy});
+  fleet_runner.RunAsyncGrouped({GroupedPolicy{&fleet_policy, ""}});
 
   const DebugResult& serial = serial_policy.result();
   const DebugResult& fleet = fleet_policy.result();
@@ -286,9 +286,12 @@ TEST(CampaignTest, AsyncFleetCampaignWithFailuresMatchesSerial) {
             fleet_runner.broker().stats().requests);
 }
 
-// Two policies pipelined asynchronously against one shared engine: both
-// finish, and the shared table holds exactly the rows the policies accepted.
-TEST(CampaignTest, AsyncMultiPolicyCampaignCompletes) {
+// Each policy of an asynchronous campaign owns its objective group's shard,
+// so two policies naming one group — the default one or any other — are
+// refused before anything runs: no shard beyond the default is created,
+// nothing is measured and no row is absorbed. Policies that should share
+// one model run under RunGrouped.
+TEST(CampaignTest, AsyncCampaignRefusesTwoPoliciesInOneGroup) {
   Scenario s = MakeScenario(SystemId::kXception, 307);
   const Fault* fault_a = PickFault(s.curation, 0);
   const Fault* fault_b = PickFault(s.curation, 1);
@@ -296,25 +299,25 @@ TEST(CampaignTest, AsyncMultiPolicyCampaignCompletes) {
   if (fault_b == nullptr) {
     fault_b = fault_a;
   }
+  const DebugOptions options = FastDebugOptions();
 
-  DebugOptions options = FastDebugOptions();
-  CampaignOptions campaign;
-  campaign.model = options.model;
-  campaign.engine = options.engine;
-  campaign.seed = options.seed;
-
-  CampaignRunner runner(s.task, campaign);
-  DebugPolicy policy_a(options, fault_a->config, GoalsForFault(s.curation, *fault_a));
-  DebugPolicy policy_b(options, fault_b->config, GoalsForFault(s.curation, *fault_b));
-  runner.RunAsync({&policy_a, &policy_b});
-
-  ASSERT_FALSE(policy_a.result().fixed_config.empty());
-  ASSERT_FALSE(policy_b.result().fixed_config.empty());
-  EXPECT_EQ(runner.engine().data().NumRows(),
-            policy_a.result().measurements_used + policy_b.result().measurements_used);
+  for (const std::string group : {"", "shared"}) {
+    SCOPED_TRACE("group \"" + group + "\"");
+    CampaignRunner runner(s.task, ToCampaignOptions(options));
+    DebugPolicy policy_a(options, fault_a->config, GoalsForFault(s.curation, *fault_a));
+    DebugPolicy policy_b(options, fault_b->config, GoalsForFault(s.curation, *fault_b));
+    EXPECT_THROW(runner.RunAsyncGrouped({GroupedPolicy{&policy_a, group},
+                                         GroupedPolicy{&policy_b, group}}),
+                 std::invalid_argument);
+    EXPECT_EQ(runner.pool().num_shards(), 1u);
+    EXPECT_EQ(runner.broker().stats().requests, 0u);
+    EXPECT_EQ(runner.engine().data().NumRows(), 0u);
+    EXPECT_EQ(policy_a.result().measurements_used, 0u);
+    EXPECT_EQ(policy_b.result().measurements_used, 0u);
+  }
 }
 
-// The async loops take every finished batch off the broker's stream as the
+// The async loop takes every finished batch off the broker's stream as the
 // campaign's own, so a campaign refuses to start while a batch someone else
 // submitted is outstanding on the runner's broker; that batch stays
 // retrievable, and the campaign runs once it has been taken.

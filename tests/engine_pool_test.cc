@@ -199,7 +199,8 @@ TEST(EnginePoolTest, ParallelBatchRefreshMatchesStandaloneEngines) {
 // asynchronous refresh is outstanding: their done events would mix. The
 // call is refused whole, and succeeds once the outstanding event is popped.
 // A shard refreshes once at a time, so a second StartRefreshAsync on it is
-// refused too until its done event is popped.
+// refused too until its done event is popped, and so is stats(), which would
+// read the refreshing engine.
 TEST(EnginePoolTest, RefreshShardsRefusedWhileAsyncRefreshOutstanding) {
   ShardPoolOptions pool_options;
   pool_options.model = SmallModelOptions();
@@ -213,7 +214,7 @@ TEST(EnginePoolTest, RefreshShardsRefusedWhileAsyncRefreshOutstanding) {
 
   pool.StartRefreshAsync(a, 5, /*token=*/77);
   EXPECT_THROW(pool.RefreshShards({b}, 5), std::logic_error);
-  EXPECT_EQ(pool.stats().refresh_batches, 0u);
+  EXPECT_THROW(pool.stats(), std::logic_error);  // shard a's stats are being written
   EXPECT_EQ(pool.shard(b).stats().refreshes, 0u);
   EXPECT_THROW(pool.StartRefreshAsync(a, 6, /*token=*/78), std::logic_error);
   EXPECT_EQ(pool.PendingAsyncRefreshes(), 1u);
@@ -222,6 +223,7 @@ TEST(EnginePoolTest, RefreshShardsRefusedWhileAsyncRefreshOutstanding) {
   ASSERT_TRUE(pool.WaitRefreshDone(&done));
   EXPECT_EQ(done.token, 77u);
   EXPECT_EQ(done.error, nullptr);
+  EXPECT_EQ(pool.stats().refresh_batches, 0u);  // the refused batch ran nothing
   EXPECT_EQ(pool.shard(a).stats().refreshes, 1u);
   EXPECT_FALSE(pool.TryPopRefreshDone(&done));  // the refused start queued nothing
   pool.RefreshShards({b}, 5);

@@ -205,7 +205,7 @@ TEST(TransferCampaignTest, AsyncFleetTransferMatchesSyncBitForBit) {
     EXPECT_EQ(runner.engine().SeedFromTable(source_table), source_table.entries.size());
     DebugPolicy inner(options, fault->config, goals);
     if (async) {
-      runner.RunAsync({&inner});
+      runner.RunAsyncGrouped({GroupedPolicy{&inner, ""}});
     } else {
       runner.Run({&inner});
     }
